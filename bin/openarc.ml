@@ -184,12 +184,13 @@ let engine_arg =
     Arg.enum
       [ ("tree", Accrt.Engine.Tree); ("compiled", Accrt.Engine.Compiled) ]
   in
-  Arg.(value & opt engine_conv Accrt.Engine.Tree
+  Arg.(value & opt engine_conv Accrt.Engine.Compiled
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: 'tree' walks the AST; 'compiled' runs \
-                 closure-compiled code over slot-resolved register frames \
-                 (observably identical, several times faster in \
-                 wall-clock)")
+           ~doc:"Execution engine: 'compiled' runs closure-compiled code \
+                 over slot-resolved register frames; 'tree' walks the AST \
+                 and is the independent oracle the compiled engine is \
+                 checked against (observably identical, several times \
+                 slower in wall-clock)")
 
 let handle f = handle_code (fun () -> f (); 0)
 
@@ -461,8 +462,8 @@ let profile_cmd =
                    events; with --devices N the file has one lane per \
                    member plus a host lane of directive spans")
   in
-  let run file fault instrument fine device_faults resilience seed devices
-      schedule json flame events trace =
+  let run file fault instrument fine device_faults resilience seed engine
+      devices schedule json flame events trace =
     handle_code (fun () ->
         let plan = plan_of_spec ~seed device_faults in
         check_devices ~devices plan;
@@ -488,7 +489,7 @@ let profile_cmd =
           else None
         in
         let o =
-          Accrt.Interp.run ~coherence:instrument ~granularity ~seed
+          Accrt.Interp.run ~coherence:instrument ~engine ~granularity ~seed
             ~trace:true ?plan ~resilience:policy ~devices ~schedule ~obs:tr
             ?ledger ~audit tp
         in
@@ -547,7 +548,7 @@ let profile_cmd =
              attribution (the paper's Figure 3/4 breakdown), coherence \
              audit log, and flamegraph export")
     Term.(const run $ file_arg $ fault_arg $ instrument $ fine
-          $ device_faults $ resilience $ seed_arg $ devices_arg
+          $ device_faults $ resilience $ seed_arg $ engine_arg $ devices_arg
           $ schedule_arg $ json $ flame $ events $ trace)
 
 (* ------------------------------ analyze ---------------------------- *)
@@ -826,7 +827,7 @@ let verify_cmd =
              ~doc:"Write the symbolic verdicts as canonical JSON \
                    (schema openarc.obs.symeq v1); implies $(b,--symbolic)")
   in
-  let run file fault options show_transformed trace events symbolic
+  let run file fault engine options show_transformed trace events symbolic
       symeq_json =
     handle (fun () ->
         let obs =
@@ -850,7 +851,7 @@ let verify_cmd =
             let symbolic = symbolic || symeq_json <> None in
             let v =
               Openarc_core.Kernel_verify.verify ~opts:(opts_of_fault fault)
-                ~config ?obs ~trace:(trace <> None) ~symbolic prog
+                ~config ~engine ?obs ~trace:(trace <> None) ~symbolic prog
             in
             (match v.Openarc_core.Kernel_verify.symeq with
             | Some result ->
@@ -888,8 +889,8 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Verify translated kernels against the sequential reference")
-    Term.(const run $ file_arg $ fault_arg $ options $ show_transformed
-          $ trace $ events $ symbolic $ symeq_json)
+    Term.(const run $ file_arg $ fault_arg $ engine_arg $ options
+          $ show_transformed $ trace $ events $ symbolic $ symeq_json)
 
 (* ----------------------------- optimize ---------------------------- *)
 

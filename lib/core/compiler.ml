@@ -59,7 +59,7 @@ let run_instrumented ?mode ?seed ?cm c =
   Accrt.Interp.run ~coherence:true ?seed ?cm tp
 
 (** Sequential reference execution of the unmodified source. *)
-let run_reference c = Accrt.Eval.run_reference c.program
+let run_reference c = Accrt.Compile.reference c.program
 
 (** Kernel verification (§III-A) of the compiled program. *)
 let verify ?opts ?config ?obs ?trace c =

@@ -37,8 +37,9 @@ val detected_errors : t -> kernel_report list
 
 (** Verify [prog]; [opts] controls translation (use
     {!Codegen.Options.fault_injection} for the Table II experiment);
-    [engine] selects the execution engine for both the reference run and
-    the simulated kernels (verdicts are engine-independent);
+    [engine] selects the execution engine for the reference run, the
+    kernels' sequential regions and the simulated kernels (default
+    {!Accrt.Engine.Compiled}; verdicts are engine-independent);
     [env] may pass a pre-computed type environment.  [obs] records a
     "verify" phase span with one [Kernel] span per verified occurrence and
     all metrics charges; [trace] additionally records the device timeline

@@ -172,7 +172,7 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
   in
   Acc.Validate.check_program prog;
   ignore (Minic.Typecheck.check prog);
-  let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
+  let reference = (Accrt.Compile.reference prog).Accrt.Eval.env in
   (* vars whose (uncertain) transfer removal was applied, per direction *)
   let removed : (string * bool, unit) Hashtbl.t = Hashtbl.create 8 in
   let frozen_vars : (string, unit) Hashtbl.t = Hashtbl.create 8 in

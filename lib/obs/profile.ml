@@ -128,7 +128,10 @@ let of_trace ~categories tr =
     p_totals = List.mapi (fun i c -> (c, totals.(i))) categories;
     p_total = Array.fold_left ( +. ) 0.0 totals;
     p_devices = devices;
-    p_counters = Trace.counters tr }
+    p_counters =
+      List.filter
+        (fun (n, _) -> not (String.starts_with ~prefix:"engine_" n))
+        (Trace.counters tr) }
 
 (** Bit-exact: both sides fold the same additions in the same order. *)
 let conserves p ~total = p.p_total = total

@@ -26,6 +26,9 @@ type t = {
           primary's, ordinal 0), so [conserves] keeps holding against
           the primary accumulator on multi-device runs *)
   p_counters : (string * int) list;
+      (** the trace's counters minus the execution engine's host
+          bookkeeping ([engine_*], which differs between engines), so a
+          profile document is engine-independent *)
 }
 
 (** [of_trace ~categories tr] folds the charge events of [tr] into

@@ -663,8 +663,9 @@ let run_reference ?hook prog =
   (try cb st with Return_exc _ -> ());
   ctx
 
-(** Engine-dispatching reference runner. *)
-let reference ?(engine = Engine.Tree) ?hook prog =
+(** Engine-dispatching reference runner (compiled by default; the tree
+    walker is the differential oracle). *)
+let reference ?(engine = Engine.Compiled) ?hook prog =
   match engine with
   | Engine.Tree -> Eval.run_reference ?hook prog
   | Engine.Compiled -> run_reference ?hook prog
@@ -861,7 +862,9 @@ let key_of cache (k : kernel) =
       Hashtbl.replace cache.ckeys k.k_id key;
       key
 
-(** Execute one host statement leaf through the compiled engine.  Free
+(** Execute one host statement leaf through the compiled engine, compiled
+    once per key [tid] (the translated-statement id in the runtime; kernel
+    verification keys each kernel's sequential region by kernel id).  Free
     names fall back to environment lookups, so fragments compiled in
     isolation still see declarations made by earlier fragments (exactly
     the tree walker's scoping). *)

@@ -6,7 +6,8 @@
     compile time and turns the AST into nested OCaml closures.  The two
     engines are bit-identical in observable behavior — outputs, [ops]
     accounting, hook firing, reduction order — which the differential test
-    suite enforces; only wall-clock speed differs. *)
+    suite enforces; only wall-clock speed differs.  [Compiled] is the
+    default everywhere; [Tree] stays as the independent oracle. *)
 
 type t = Tree | Compiled
 

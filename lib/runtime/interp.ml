@@ -46,7 +46,7 @@ let host_scalar o name = Value.get_scalar o.ctx.Eval.env name
 
 exception Stop
 
-let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
+let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     ?(seed = 42) ?(trace = false) ?cm ?plan
     ?(resilience = Resilience.none) ?(devices = 1) ?schedule ?obs ?ledger
     ?audit ?kcache (tp : Codegen.Tprog.t) =

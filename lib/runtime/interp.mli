@@ -39,9 +39,10 @@ exception Stop
 
 (** Execute a translated program.  [coherence] enables the §III-B runtime
     (meaningful on instrumented programs); [engine] selects the kernel
-    execution engine — {!Engine.Tree} (default) walks the AST,
-    {!Engine.Compiled} runs closure-compiled kernel bodies (cached per
-    kernel, bit-identical results); [granularity] picks whole-array
+    execution engine — {!Engine.Compiled} (default) runs closure-compiled
+    kernel bodies and host statements (cached per kernel, bit-identical
+    results), {!Engine.Tree} walks the AST (the differential oracle);
+    [granularity] picks whole-array
     (default, as the paper) or interval tracking; [trace] records the
     execution timeline; [seed] drives the deterministic jitter and fault
     streams; [plan] arms device faults; [resilience] picks the recovery

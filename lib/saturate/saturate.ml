@@ -109,6 +109,14 @@ let translate prog =
   let env = Typecheck.check prog in
   Codegen.Translate.translate env prog
 
+(* Every run except the ladder's compiled rung pins the tree engine
+   rather than taking the default: the tree walker's
+   [Kernel_exec.kernel_names] allocates two statement ids per launch, and
+   those ids leak into the [dataNNN] site labels of every candidate parsed
+   afterwards, so the engine choice is part of the canonical report's
+   bytes.  The ladder's tree rung must stay tree in any case — it is the
+   independent half of the two-engine check. *)
+
 (* One instrumented, coherence-on, ledger-attached run: the scoring side
    of the search.  Conservation against the metrics accumulators is an
    invariant, not a tolerance. *)
@@ -118,7 +126,10 @@ let ledger_analysis ~name ~seed ~devices prog =
     Obs.Ledger.create ~devices
       ~schedule:(Gpusim.Device_set.schedule_name Gpusim.Device_set.Block)
   in
-  let o = Accrt.Interp.run ~coherence:true ~seed ~devices ~ledger:lg tp in
+  let o =
+    Accrt.Interp.run ~coherence:true ~engine:Accrt.Engine.Tree ~seed
+      ~devices ~ledger:lg tp
+  in
   let mh, md =
     Array.fold_left
       (fun (h, d) dev ->
@@ -143,7 +154,10 @@ let ledger_analysis ~name ~seed ~devices prog =
 let profile_of ~seed ~devices prog =
   let tp = translate prog in
   let tr = Obs.Trace.create () in
-  let o = Accrt.Interp.run ~coherence:false ~seed ~devices ~obs:tr tp in
+  let o =
+    Accrt.Interp.run ~coherence:false ~engine:Accrt.Engine.Tree ~seed
+      ~devices ~obs:tr tp
+  in
   ( Obs.Profile.of_trace ~categories:profile_categories tr,
     Gpusim.Metrics.total_time (Accrt.Interp.metrics o) )
 
@@ -621,7 +635,8 @@ let run ?(config = default_config) ~name ~outputs prog0 =
     o
   in
   let tree_run ~devices prog =
-    Accrt.Interp.run ~coherence:false ~seed ~devices (translate prog)
+    Accrt.Interp.run ~coherence:false ~engine:Accrt.Engine.Tree ~seed
+      ~devices (translate prog)
   in
   (* Reference outcomes of the *original* program, one per checked
      configuration — computed once, compared against every candidate. *)
@@ -649,7 +664,9 @@ let run ?(config = default_config) ~name ~outputs prog0 =
       raise (Rejected "print/reparse round trip diverged");
     (* 3. kernel verification, symbolic tier first *)
     let kv =
-      try Openarc_core.Kernel_verify.verify ~symbolic:true cand_prog
+      try
+        Openarc_core.Kernel_verify.verify ~engine:Accrt.Engine.Tree
+          ~symbolic:true cand_prog
       with e ->
         raise
           (Rejected ("kernel verification crashed: " ^ Printexc.to_string e))

@@ -69,6 +69,48 @@ let test_verify () =
                                main_kernel0"
     ~expect:[ "async(1)"; "#pragma acc wait(1)" ]
 
+(* The compiled engine is the default: with no --engine, [run] and
+   [verify] print exactly what --engine compiled prints, and the tree
+   oracle prints the same bytes too. *)
+let test_engine_default () =
+  if available then
+    List.iter
+      (fun args ->
+        let code, out = run_cmd args in
+        Alcotest.(check int) (args ^ ": exit code") 0 code;
+        List.iter
+          (fun engine ->
+            let args' = Fmt.str "%s --engine %s" args engine in
+            Alcotest.(check string)
+              (args' ^ ": stdout equals the default's")
+              out (snd (run_cmd args')))
+          [ "compiled"; "tree" ])
+      [ "run bench:jacobi"; "run bench:cg --instrument"; "verify bench:cg";
+        "verify bench:ep --fault-injection" ]
+
+(* Profile documents leave out the engines' own bookkeeping counters, so
+   they are byte-equal under either engine. *)
+let test_profile_engine_independent () =
+  if available then
+    List.iter
+      (fun bench ->
+        let doc engine =
+          let path = Filename.temp_file "openarc_profile" ".json" in
+          let code, _ =
+            run_cmd
+              (Fmt.str "profile bench:%s --engine %s --json %s" bench engine
+                 (Filename.quote path))
+          in
+          Alcotest.(check int) (bench ^ " " ^ engine ^ ": exit 0") 0 code;
+          let s = read_file path in
+          Sys.remove path;
+          s
+        in
+        Alcotest.(check string)
+          (bench ^ ": profile json tree = compiled")
+          (doc "tree") (doc "compiled"))
+      [ "jacobi"; "ep"; "cg" ]
+
 let test_verify_symbolic () =
   check_cmd "verify --symbolic" "verify bench:jacobi --symbolic"
     ~expect:
@@ -606,6 +648,9 @@ let tests =
     Alcotest.test_case "run" `Quick test_run;
     Alcotest.test_case "verify" `Quick test_verify;
     Alcotest.test_case "verify symbolic" `Quick test_verify_symbolic;
+    Alcotest.test_case "engine default" `Quick test_engine_default;
+    Alcotest.test_case "profile engine-independent" `Quick
+      test_profile_engine_independent;
     Alcotest.test_case "unknown flag" `Quick test_unknown_flag;
     Alcotest.test_case "optimize" `Slow test_optimize;
     Alcotest.test_case "saturate" `Slow test_saturate;

@@ -234,6 +234,31 @@ let test_demotion_pass () =
   Alcotest.(check int) "one kernels directive left" 1
     (count_sub "acc kernels")
 
+(* [sequential_ops] is read off the hooked reference run, which executes
+   every compute region's original statement in place of the region; it
+   must equal the op count of an unhooked tree-walked reference run, on
+   every suite program, source and fault-injection builds, both engines. *)
+let test_sequential_ops_oracle () =
+  List.iter
+    (fun (b : Suite.Bench_def.t) ->
+      let source = Parser.parse_string ~file:b.name b.source in
+      List.iter
+        (fun (build, opts, prog) ->
+          let expected = (Accrt.Eval.run_reference prog).Accrt.Eval.ops in
+          List.iter
+            (fun engine ->
+              let v = Openarc_core.Kernel_verify.verify ~opts ~engine prog in
+              Alcotest.(check int)
+                (Fmt.str "%s/%s/%s: sequential ops" b.name build
+                   (Accrt.Engine.to_string engine))
+                expected v.Openarc_core.Kernel_verify.sequential_ops)
+            Accrt.Engine.all)
+        [ ("source", Codegen.Options.default, source);
+          ( "fault",
+            Codegen.Options.fault_injection,
+            Openarc_core.Faults.strip_parallelism_clauses source ) ])
+    Suite.Registry.all
+
 let tests =
   [ Alcotest.test_case "correct program passes" `Quick
       test_correct_program_passes;
@@ -250,4 +275,6 @@ let tests =
       test_no_error_propagation;
     Alcotest.test_case "metrics breakdown" `Quick test_metrics_breakdown;
     Alcotest.test_case "vconfig parsing" `Quick test_vconfig_parsing;
-    Alcotest.test_case "demotion pass (Listing 2)" `Quick test_demotion_pass ]
+    Alcotest.test_case "demotion pass (Listing 2)" `Quick test_demotion_pass;
+    Alcotest.test_case "sequential ops oracle" `Quick
+      test_sequential_ops_oracle ]
