@@ -205,7 +205,7 @@ type table3_row = {
    the tool-optimized program that can be deleted — or, when it sits in a
    loop, moved past the loop — without changing observable outputs. *)
 let uncaught_redundancy prog ~outputs =
-  let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
+  let reference = (Accrt.Compile.reference prog).Accrt.Eval.env in
   let ok candidate =
     try
       let env = Minic.Typecheck.check candidate in
@@ -461,50 +461,182 @@ let run_sweep ppf =
     "(bytes ratio grows linearly with iterations: at the paper's \
      production iteration counts it reaches the 10^3..10^5 of Figure 1)@."
 
+(* ------------------------------------------------------------------ *)
+(* Golden tiers: committed, byte-stable BENCH_*.json baselines         *)
+(* ------------------------------------------------------------------ *)
+
+(* A golden tier regenerates one committed document from one entry per
+   benchmark.  The simulator is deterministic for the fixed seed, so the
+   document is byte-stable and doubles as a regression baseline:
+   [regenerate] rewrites it from a full sweep and gates the run on the
+   tier's invariants; [smoke] recomputes a fixed subset of the entries
+   (or the whole document), requires that text verbatim in the committed
+   file, and checks the same invariants on what it recomputed. *)
+
+type 'e smoke =
+  | Whole  (** the regenerated document must equal the committed one *)
+  | Subset of {
+      names : string list;
+      json : 'e -> string;  (** entry text, found verbatim in the file *)
+      note : 'e -> string;  (** summary printed for a matching entry *)
+    }
+
+type 'e tier = {
+  name : string;  (** subcommand; [name ^ "-smoke"] runs the smoke *)
+  path : string;
+  entry : Bench_def.t -> 'e;
+  doc : 'e list -> string;
+  smoke : 'e smoke;
+  invariants : 'e list -> (string, string) result;
+      (** the gate's verdict line; [Error] fails the run, [Ok ""] is a
+          tier without a gate *)
+  report : Format.formatter -> 'e list -> unit;
+      (** text of a full run, printed once the document is written *)
+}
+
+type golden = Golden : 'e tier -> golden
+
+let no_invariants _ = Ok ""
+
+(* Resolve a comma-separated --benches selection; unknown names raise
+   (the CLI maps that to exit 2, malformed input). *)
+let select = function
+  | None -> benchmarks
+  | Some names ->
+      List.map
+        (fun n ->
+          let n = String.uppercase_ascii n in
+          match
+            List.find_opt (fun b -> b.Bench_def.name = n) benchmarks
+          with
+          | Some b -> b
+          | None ->
+              Fmt.failwith "unknown benchmark '%s' (expected one of %s)" n
+                (String.concat ","
+                   (List.map (fun b -> b.Bench_def.name) benchmarks)))
+        names
+
+(* A committed document; a missing file names the subcommand that
+   regenerates it. *)
+let read_committed ?(what = "") ~cmd path =
+  match open_in_bin path with
+  | ic ->
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      s
+  | exception Sys_error _ ->
+      Fmt.failwith "missing %s%s (run 'bench/main.exe %s' and commit the \
+                    result)" what path cmd
+
+let contains ~needle hay =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
+  in
+  nn = 0 || go 0
+
+let print_verdict ppf line = if line <> "" then Fmt.pf ppf "%s@." line
+
+(* Full sweep: rewrite the document, print the report, and return the
+   exit code of the tier's gate. *)
+let regenerate ppf (Golden t) =
+  let entries = List.map t.entry benchmarks in
+  let oc = open_out t.path in
+  output_string oc (t.doc entries);
+  close_out oc;
+  t.report ppf entries;
+  let verdict = t.invariants entries in
+  print_verdict ppf (match verdict with Ok line | Error line -> line);
+  if Result.is_ok verdict then 0 else 1
+
+(* Byte-stability gate for CI.  Raises [Failure] naming what drifted (the
+   CLI maps that to exit 1). *)
+let smoke ppf (Golden t) =
+  let committed = read_committed ~cmd:t.name t.path in
+  let fail msg = Fmt.failwith "%s smoke failed: %s" t.name msg in
+  let hint =
+    Fmt.str "regenerate with 'bench/main.exe %s' and inspect the diff" t.name
+  in
+  let entries =
+    match t.smoke with
+    | Whole ->
+        let entries = List.map t.entry benchmarks in
+        if t.doc entries <> committed then
+          fail (Fmt.str "%s is stale; %s" t.path hint);
+        Fmt.pf ppf "%s smoke: %d benchmarks byte-stable against %s@." t.name
+          (List.length entries) t.path;
+        entries
+    | Subset { names; json; note } ->
+        let entries =
+          List.map
+            (fun b -> (b.Bench_def.name, t.entry b))
+            (select (Some names))
+        in
+        let stale =
+          List.filter_map
+            (fun (name, e) ->
+              if contains ~needle:(json e) committed then begin
+                Fmt.pf ppf "  %-12s %s  matches baseline@." name (note e);
+                None
+              end
+              else begin
+                Fmt.pf ppf "  %-12s MISMATCH against %s@." name t.path;
+                Some name
+              end)
+            entries
+        in
+        if stale <> [] then
+          fail
+            (Fmt.str "%s not byte-stable against %s; %s"
+               (String.concat ", " stale) t.path hint);
+        Fmt.pf ppf "%s smoke: %d/%d byte-stable@." t.name
+          (List.length entries) (List.length entries);
+        List.map snd entries
+  in
+  match t.invariants entries with
+  | Ok line -> print_verdict ppf line
+  | Error line -> fail line
+
 (* Fault-matrix sweep: the resilience counterpart of the performance
    tables.  Every fault kind x recovery policy cell across the suite must
    recover verified-correct or degrade to CPU fallback; the per-cell
    overhead column is the simulated-time cost of recovery vs. the
-   fault-free baseline. *)
-let run_faults ?json ppf =
-  Fmt.pf ppf "Fault matrix: recovery across the suite (seeded, one-shot \
-              faults)@.";
-  hr ppf;
-  let subjects =
-    List.map
-      (fun (b : Bench_def.t) ->
-        { Openarc_core.Fault_matrix.s_name = b.Bench_def.name;
-          s_source = b.Bench_def.source;
-          s_outputs = b.Bench_def.outputs })
-      benchmarks
-  in
-  let m = Openarc_core.Fault_matrix.run ~seed:42 subjects in
-  Fmt.pf ppf "%a@." Openarc_core.Fault_matrix.pp m;
-  (match json with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Openarc_core.Fault_matrix.to_json m);
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pf ppf "matrix written to %s@." path
-  | None -> ());
-  hr ppf;
-  Fmt.pf ppf
-    "(transient kinds sweep the retry and full policies; device-lost \
-     requires full's host-mode fallback; a FAIL cell means a fault \
-     produced a wrong or unrecovered result)@."
+   fault-free baseline.  An entry is one benchmark's cells. *)
 
-let run_all ppf =
-  run_table1 ppf; Fmt.pf ppf "@.";
-  run_fig1 ppf; Fmt.pf ppf "@.";
-  run_table2 ppf; Fmt.pf ppf "@.";
-  run_fig3 ppf; Fmt.pf ppf "@.";
-  run_table3 ppf; Fmt.pf ppf "@.";
-  run_fig4 ppf; Fmt.pf ppf "@.";
-  run_ablation ppf; Fmt.pf ppf "@.";
-  run_granularity ppf; Fmt.pf ppf "@.";
-  run_sweep ppf; Fmt.pf ppf "@.";
-  run_faults ppf
+let faults_path = "BENCH_faults.json"
+
+let fault_matrix entries =
+  { Openarc_core.Fault_matrix.seed = 42; cells = List.concat entries;
+    traces = [] }
+
+let faults =
+  { name = "faults";
+    path = faults_path;
+    entry =
+      (fun b ->
+        (Openarc_core.Fault_matrix.run ~seed:42
+           [ { Openarc_core.Fault_matrix.s_name = b.Bench_def.name;
+               s_source = b.Bench_def.source;
+               s_outputs = b.Bench_def.outputs } ])
+          .Openarc_core.Fault_matrix.cells);
+    doc =
+      (fun entries ->
+        Openarc_core.Fault_matrix.to_json (fault_matrix entries) ^ "\n");
+    smoke = Whole;
+    invariants = no_invariants;
+    report =
+      (fun ppf entries ->
+        Fmt.pf ppf
+          "Fault matrix: recovery across the suite (seeded, one-shot \
+           faults)@.";
+        hr ppf;
+        Fmt.pf ppf "%a@." Openarc_core.Fault_matrix.pp (fault_matrix entries);
+        Fmt.pf ppf "matrix written to %s@." faults_path;
+        hr ppf;
+        Fmt.pf ppf
+          "(transient kinds sweep the retry and full policies; device-lost \
+           requires full's host-mode fallback; a FAIL cell means a fault \
+           produced a wrong or unrecovered result)@.") }
 
 (* Per-directive profile sweep: the observability counterpart of Figure
    3/4.  Each benchmark runs once (seed 42, source variant, coherence
@@ -547,63 +679,27 @@ let profile_doc entries =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-let run_profile ?(json = profile_path) ppf =
-  Fmt.pf ppf "Per-directive profile sweep (seed 42, source variant)@.";
-  hr ppf;
-  let entries = List.map profile_entry benchmarks in
-  List.iter
-    (fun (name, total, _) ->
-      Fmt.pf ppf "  %-12s %12.9f s  conservation exact@." name total)
-    entries;
-  let oc = open_out json in
-  output_string oc (profile_doc entries);
-  close_out oc;
-  hr ppf;
-  Fmt.pf ppf "profile baseline written to %s@." json
-
-(* Byte-stability gate for CI: regenerate a 3-benchmark subset and require
-   each entry to appear verbatim in the committed baseline. *)
-let contains ~needle hay =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-  in
-  nn = 0 || go 0
-
-let run_profile_smoke ppf =
-  let committed =
-    match open_in_bin profile_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith "missing %s (run 'bench/main.exe profile' and commit \
-                      the result)" profile_path
-  in
-  let names = [ "JACOBI"; "EP"; "SRAD" ] in
-  let ok =
-    List.for_all
-      (fun n ->
-        let b = List.find (fun b -> b.Bench_def.name = n) benchmarks in
-        let _, total, entry = profile_entry b in
-        if contains ~needle:entry committed then begin
-          Fmt.pf ppf "  %-12s %12.9f s  matches baseline@." n total;
-          true
-        end
-        else begin
-          Fmt.pf ppf "  %-12s MISMATCH against %s@." n profile_path;
-          false
-        end)
-      names
-  in
-  if ok then Fmt.pf ppf "profile smoke: %d/%d byte-stable@."
-      (List.length names) (List.length names)
-  else
-    Fmt.failwith
-      "profile smoke failed: regenerate with 'bench/main.exe profile' and \
-       inspect the diff"
+let profile =
+  { name = "profile";
+    path = profile_path;
+    entry = (fun b -> profile_entry b);
+    doc = profile_doc;
+    smoke =
+      Subset
+        { names = [ "JACOBI"; "EP"; "SRAD" ];
+          json = (fun (_, _, e) -> e);
+          note = (fun (_, total, _) -> Fmt.str "%12.9f s" total) };
+    invariants = no_invariants;
+    report =
+      (fun ppf entries ->
+        Fmt.pf ppf "Per-directive profile sweep (seed 42, source variant)@.";
+        hr ppf;
+        List.iter
+          (fun (name, total, _) ->
+            Fmt.pf ppf "  %-12s %12.9f s  conservation exact@." name total)
+          entries;
+        hr ppf;
+        Fmt.pf ppf "profile baseline written to %s@." profile_path) }
 
 (* One instrumented, coherence-on run of [prog] with a data-movement
    ledger attached (seed 42): returns the ledger's counterfactual
@@ -646,24 +742,6 @@ let ledger_run ?(devices = 1) ?(schedule = Gpusim.Device_set.Block) ~name
 (* ------------------------------------------------------------------ *)
 
 let trend_path = "BENCH_trend.jsonl"
-
-(* Resolve a comma-separated --benches selection; unknown names raise
-   (the CLI maps that to exit 2, malformed input). *)
-let select = function
-  | None -> benchmarks
-  | Some names ->
-      List.map
-        (fun n ->
-          let n = String.uppercase_ascii n in
-          match
-            List.find_opt (fun b -> b.Bench_def.name = n) benchmarks
-          with
-          | Some b -> b
-          | None ->
-              Fmt.failwith "unknown benchmark '%s' (expected one of %s)" n
-                (String.concat ","
-                   (List.map (fun b -> b.Bench_def.name) benchmarks)))
-        names
 
 (* The current sweep side of a diff re-parses its own canonical JSON so
    both sides of every comparison went through the same %.9f rounding:
@@ -790,17 +868,7 @@ type regress_row = {
 }
 
 let baseline_profiles path =
-  let doc =
-    match open_in_bin path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith "missing baseline %s (run 'bench/main.exe profile' \
-                      and commit the result)" path
-  in
+  let doc = read_committed ~what:"baseline " ~cmd:"profile" path in
   match Obs.Pjson.parse_result doc with
   | Error e -> Fmt.failwith "malformed baseline %s: %s" path e
   | Ok v -> (
@@ -909,17 +977,7 @@ let regress_json ~baseline_path rows =
    per-benchmark measured accepted saving, keyed by name. *)
 let saturate_baseline path =
   let doc =
-    match open_in_bin path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith
-          "missing saturate baseline %s (run 'bench/main.exe saturate' and \
-           commit the result)"
-          path
+    read_committed ~what:"saturate baseline " ~cmd:"saturate" path
   in
   match Obs.Pjson.parse_result doc with
   | Error e -> Fmt.failwith "malformed saturate baseline %s: %s" path e
@@ -1303,82 +1361,14 @@ let scale_doc entries =
    asks most — not all — of the suite to scale monotonically. *)
 let scale_min_monotone = 8
 
-let run_scale ?(json = scale_path) ppf =
-  Fmt.pf ppf
-    "Device-set scaling (simulated time, seed 42, source variant)@.";
-  hr ppf;
-  Fmt.pf ppf "  %-12s" "";
-  List.iter (fun n -> Fmt.pf ppf " %8s" (Fmt.str "%ddev" n)) scale_counts;
-  Fmt.pf ppf "  speedup 1->4@.";
-  let entries = List.map scale_entry benchmarks in
-  List.iter
-    (fun (name, times, breakdown) ->
-      Fmt.pf ppf "  %-12s" name;
-      List.iter (fun (_, t) -> Fmt.pf ppf " %8.6f" t) times;
-      Fmt.pf ppf "  %5.2fx %s@." (scale_speedup times 4)
-        (if scale_monotone times then "" else "[degrades]");
-      Fmt.pf ppf "  %-12s @%ddev" "" scale_breakdown_devices;
-      List.iter
-        (fun (d, c, x, m) ->
-          Fmt.pf ppf "  [%d] c=%.6f x=%.6f m=%.6f" d c x m)
-        breakdown;
-      Fmt.pf ppf "@.")
-    entries;
-  let oc = open_out json in
-  output_string oc (scale_doc entries);
-  close_out oc;
-  hr ppf;
-  Fmt.pf ppf "scale report written to %s@." json;
-  let mono =
-    List.length (List.filter (fun (_, t, _) -> scale_monotone t) entries)
-  in
-  if mono >= scale_min_monotone then begin
-    Fmt.pf ppf
-      "scale: %d/%d benchmark(s) monotone non-degrading through 4 \
-       devices (>= %d required)@."
-      mono (List.length entries) scale_min_monotone;
-    0
-  end
-  else begin
-    Fmt.pf ppf
-      "SCALE REGRESSION: only %d/%d benchmark(s) monotone non-degrading \
-       through 4 devices (>= %d required)@."
-      mono (List.length entries) scale_min_monotone;
-    1
-  end
-
-(* Scale smoke for CI: the whole document must regenerate byte-for-byte
-   against the committed baseline (which also re-checks the monotonicity
-   counts it records), and one seeded device-loss cell must fail over to
-   the surviving member and still produce verified-correct outputs. *)
-let run_scale_smoke ppf =
-  let committed =
-    match open_in_bin scale_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith "missing %s (run 'bench/main.exe scale' and commit \
-                      the result)" scale_path
-  in
-  let entries = List.map scale_entry benchmarks in
-  let regenerated = scale_doc entries in
-  if regenerated <> committed then
-    Fmt.failwith
-      "scale smoke failed: %s is stale; regenerate with 'bench/main.exe \
-       scale' and inspect the diff"
-      scale_path;
-  Fmt.pf ppf "scale smoke: %d benchmarks byte-stable against %s@."
-    (List.length entries) scale_path;
-  (* Failover cell: kill member 1 of a 2-device set at the first
-     kernel's launch gate; the fallback-less retry policy must re-execute
-     the lost shard on the survivor and verify it against the sequential
-     reference. *)
-  let b = List.find (fun b -> b.Bench_def.name = "JACOBI") benchmarks in
+(* The failover cell: kill member 1 of a 2-device set at the first
+   kernel's launch gate; the fallback-less retry policy must re-execute
+   the lost shard on the survivor and verify it against the sequential
+   reference. *)
+let scale_failover () =
+  let b = List.hd (select (Some [ "JACOBI" ])) in
   let prog = parse b in
-  let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
+  let reference = (Accrt.Compile.reference prog).Accrt.Eval.env in
   let env = Minic.Typecheck.check prog in
   let tp = Codegen.Translate.translate env prog in
   let target = tp.Codegen.Tprog.kernels.(0).Codegen.Tprog.k_name in
@@ -1403,16 +1393,69 @@ let run_scale_smoke ppf =
     && st.Accrt.Resilience.unrecovered = 0
     && correct
   then
-    Fmt.pf ppf
-      "scale smoke: device-loss failover cell ok (%d shard(s) \
-       re-executed, %d verified, outputs correct)@."
-      st.Accrt.Resilience.failovers st.Accrt.Resilience.verified
+    Ok
+      (Fmt.str
+         "scale: device-loss failover cell ok (%d shard(s) re-executed, %d \
+          verified, outputs correct)"
+         st.Accrt.Resilience.failovers st.Accrt.Resilience.verified)
   else
-    Fmt.failwith
-      "scale smoke failed: device-loss failover cell (lost=%d failovers=%d \
-       verified=%d unrecovered=%d correct=%b)"
-      st.Accrt.Resilience.devices_lost st.Accrt.Resilience.failovers
-      st.Accrt.Resilience.verified st.Accrt.Resilience.unrecovered correct
+    Error
+      (Fmt.str
+         "SCALE REGRESSION: device-loss failover cell (lost=%d failovers=%d \
+          verified=%d unrecovered=%d correct=%b)"
+         st.Accrt.Resilience.devices_lost st.Accrt.Resilience.failovers
+         st.Accrt.Resilience.verified st.Accrt.Resilience.unrecovered correct)
+
+let scale_invariants entries =
+  let mono =
+    List.length (List.filter (fun (_, t, _) -> scale_monotone t) entries)
+  in
+  if mono < scale_min_monotone then
+    Error
+      (Fmt.str
+         "SCALE REGRESSION: only %d/%d benchmark(s) monotone non-degrading \
+          through 4 devices (>= %d required)"
+         mono (List.length entries) scale_min_monotone)
+  else
+    Result.map
+      (Fmt.str
+         "scale: %d/%d benchmark(s) monotone non-degrading through 4 \
+          devices (>= %d required)\n%s"
+         mono (List.length entries) scale_min_monotone)
+      (scale_failover ())
+
+let scale =
+  { name = "scale";
+    path = scale_path;
+    entry = scale_entry;
+    doc = scale_doc;
+    smoke = Whole;
+    invariants = scale_invariants;
+    report =
+      (fun ppf entries ->
+        Fmt.pf ppf
+          "Device-set scaling (simulated time, seed 42, source variant)@.";
+        hr ppf;
+        Fmt.pf ppf "  %-12s" "";
+        List.iter
+          (fun n -> Fmt.pf ppf " %8s" (Fmt.str "%ddev" n))
+          scale_counts;
+        Fmt.pf ppf "  speedup 1->4@.";
+        List.iter
+          (fun (name, times, breakdown) ->
+            Fmt.pf ppf "  %-12s" name;
+            List.iter (fun (_, t) -> Fmt.pf ppf " %8.6f" t) times;
+            Fmt.pf ppf "  %5.2fx %s@." (scale_speedup times 4)
+              (if scale_monotone times then "" else "[degrades]");
+            Fmt.pf ppf "  %-12s @%ddev" "" scale_breakdown_devices;
+            List.iter
+              (fun (d, c, x, m) ->
+                Fmt.pf ppf "  [%d] c=%.6f x=%.6f m=%.6f" d c x m)
+              breakdown;
+            Fmt.pf ppf "@.")
+          entries;
+        hr ppf;
+        Fmt.pf ppf "scale report written to %s@." scale_path) }
 
 (* ------------------------------------------------------------------ *)
 (* Imbalance tier: shard-cost attribution and schedule verdicts        *)
@@ -1478,6 +1521,9 @@ let imbalance_entry_json (name, t_block, (a : Obs.Imbalance.analysis),
        (String.trim (Obs.Imbalance.to_json ~name ~seed:42 a)));
   Buffer.contents buf
 
+let imbalance_improved (_, _, _, switched) =
+  match switched with Some (_, improved) -> improved | None -> false
+
 let imbalance_doc entries =
   let buf = Buffer.create 16384 in
   Buffer.add_string buf
@@ -1493,13 +1539,7 @@ let imbalance_doc entries =
   let switched =
     List.length (List.filter (fun (_, _, _, s) -> s <> None) entries)
   in
-  let improved =
-    List.length
-      (List.filter
-         (fun (_, _, _, s) ->
-           match s with Some (_, true) -> true | _ -> false)
-         entries)
-  in
+  let improved = List.length (List.filter imbalance_improved entries) in
   Buffer.add_string buf
     (Fmt.str "\n],\n\"switched\": %d,\n\"improved\": %d\n}\n" switched
        improved);
@@ -1509,95 +1549,47 @@ let imbalance_doc entries =
    from the default schedule AND the re-run under the recommendation
    must measure faster — the analyzer's advice has to be actionable, not
    just plausible. *)
-let run_imbalance ?(json = imbalance_path) ppf =
-  Fmt.pf ppf
-    "Shard-imbalance analysis (seed 42, %d devices, block default)@."
-    imbalance_devices;
-  hr ppf;
-  let entries = List.map imbalance_entry benchmarks in
-  List.iter
-    (fun (name, t_block, (a : Obs.Imbalance.analysis), switched) ->
-      match switched with
-      | None -> Fmt.pf ppf "  %-12s %12.9f s  keep block@." name t_block
-      | Some (t_alt, improved) ->
-          Fmt.pf ppf "  %-12s %12.9f s  switch -> %s %12.9f s  %s@." name
-            t_block a.Obs.Imbalance.a_recommended t_alt
-            (if improved then "[improved]" else "[NOT improved]"))
-    entries;
-  let oc = open_out json in
-  output_string oc (imbalance_doc entries);
-  close_out oc;
-  hr ppf;
-  Fmt.pf ppf "imbalance report written to %s@." json;
-  let improved =
-    List.filter
-      (fun (_, _, _, s) -> match s with Some (_, true) -> true | _ -> false)
-      entries
-  in
-  if improved <> [] then begin
-    Fmt.pf ppf
-      "imbalance: %d benchmark(s) with a measured-faster schedule switch \
-       (>= 1 required)@."
-      (List.length improved);
-    0
-  end
-  else begin
-    Fmt.pf ppf
-      "IMBALANCE REGRESSION: no benchmark with a measured-faster \
-       schedule switch (>= 1 required)@.";
-    1
-  end
+let imbalance_invariants entries =
+  match List.length (List.filter imbalance_improved entries) with
+  | 0 ->
+      Error
+        "IMBALANCE REGRESSION: no benchmark with a measured-faster schedule \
+         switch (>= 1 required)"
+  | n ->
+      Ok
+        (Fmt.str
+           "imbalance: %d benchmark(s) with a measured-faster schedule \
+            switch (>= 1 required)"
+           n)
 
-(* Imbalance smoke for CI: regenerate a fixed 3-benchmark subset — one
-   of which must be a switch verdict — and require each entry verbatim
-   in the committed baseline. *)
-let run_imbalance_smoke ppf =
-  let committed =
-    match open_in_bin imbalance_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith
-          "missing %s (run 'bench/main.exe imbalance' and commit the \
-           result)"
-          imbalance_path
-  in
-  let names = [ "JACOBI"; "BFS"; "NW" ] in
-  let entries =
-    List.map
-      (fun n ->
-        imbalance_entry
-          (List.find (fun b -> b.Bench_def.name = n) benchmarks))
-      names
-  in
-  let ok =
-    List.for_all
-      (fun ((name, t_block, _, _) as e) ->
-        if contains ~needle:(imbalance_entry_json e) committed then begin
-          Fmt.pf ppf "  %-12s %12.9f s  matches baseline@." name t_block;
-          true
-        end
-        else begin
-          Fmt.pf ppf "  %-12s MISMATCH against %s@." name imbalance_path;
-          false
-        end)
-      entries
-  in
-  if not ok then
-    Fmt.failwith
-      "imbalance smoke failed: regenerate with 'bench/main.exe imbalance' \
-       and inspect the diff";
-  let switch = List.exists (fun (_, _, _, s) -> s <> None) entries in
-  if not switch then
-    Fmt.failwith
-      "imbalance smoke failed: no switch verdict in the %s subset"
-      (String.concat "," names);
-  Fmt.pf ppf
-    "imbalance smoke: %d/%d byte-stable, switch verdict present@."
-    (List.length names) (List.length names)
+let imbalance =
+  { name = "imbalance";
+    path = imbalance_path;
+    entry = imbalance_entry;
+    doc = imbalance_doc;
+    smoke =
+      Subset
+        { names = [ "JACOBI"; "BFS"; "NW" ];
+          json = imbalance_entry_json;
+          note = (fun (_, t_block, _, _) -> Fmt.str "%12.9f s" t_block) };
+    invariants = imbalance_invariants;
+    report =
+      (fun ppf entries ->
+        Fmt.pf ppf
+          "Shard-imbalance analysis (seed 42, %d devices, block default)@."
+          imbalance_devices;
+        hr ppf;
+        List.iter
+          (fun (name, t_block, (a : Obs.Imbalance.analysis), switched) ->
+            match switched with
+            | None -> Fmt.pf ppf "  %-12s %12.9f s  keep block@." name t_block
+            | Some (t_alt, improved) ->
+                Fmt.pf ppf "  %-12s %12.9f s  switch -> %s %12.9f s  %s@."
+                  name t_block a.Obs.Imbalance.a_recommended t_alt
+                  (if improved then "[improved]" else "[NOT improved]"))
+          entries;
+        hr ppf;
+        Fmt.pf ppf "imbalance report written to %s@." imbalance_path) }
 
 (* ------------------------------------------------------------------ *)
 (* Memtrace tier: data-movement ledger and counterfactual savings      *)
@@ -1685,7 +1677,7 @@ let memtrace_confirmation_json (predicted, measured, confirmed) =
      %.9f, \"confirmed\": %b}"
     memtrace_confirm_name predicted measured confirmed
 
-let memtrace_doc entries confirmation =
+let memtrace_doc entries =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf
     "{\n\"schema\": \"openarc.obs.bench-memtrace\",\n\"version\": 1,\n\
@@ -1703,107 +1695,63 @@ let memtrace_doc entries confirmation =
   Buffer.add_string buf
     (Fmt.str "\n],\n\"wasted_bytes\": %d,\n\"confirmation\": %s\n}\n"
        wasted
-       (memtrace_confirmation_json confirmation));
+       (memtrace_confirmation_json (memtrace_confirmation entries)));
   Buffer.contents buf
 
 (* The gate of this tier: at least the designated benchmark's predicted
    counterfactual saving must be measured on its hand-optimized variant —
    the ledger's advice has to be actionable, not just plausible. *)
-let run_memtrace ?(json = memtrace_path) ppf =
-  Fmt.pf ppf
-    "Data-movement ledger sweep (seed 42, 1 device, source variant, \
-     instrumented)@.";
-  hr ppf;
-  let entries = List.map memtrace_entry benchmarks in
-  List.iter
-    (fun (name, a) ->
-      let apply =
-        List.length
-          (List.filter
-             (fun s -> s.Obs.Ledger.s_verdict = "apply")
-             a.Obs.Ledger.a_sites)
-      in
-      Fmt.pf ppf
-        "  %-12s %8d B h2d %8d B d2h %8d wasted  %d apply  conservation \
-         exact@."
-        name a.Obs.Ledger.a_h2d_bytes a.Obs.Ledger.a_d2h_bytes
-        a.Obs.Ledger.a_wasted_bytes apply)
-    entries;
-  let ((predicted, measured, confirmed) as confirmation) =
-    memtrace_confirmation entries
+let memtrace_invariants entries =
+  let predicted, measured, confirmed = memtrace_confirmation entries in
+  let line =
+    Fmt.str
+      "counterfactual confirmation (%s): predicted %.9f s, measured %.9f s \
+       on the optimized variant"
+      memtrace_confirm_name predicted measured
   in
-  let oc = open_out json in
-  output_string oc (memtrace_doc entries confirmation);
-  close_out oc;
-  hr ppf;
-  Fmt.pf ppf "memtrace baseline written to %s@." json;
-  Fmt.pf ppf
-    "counterfactual confirmation (%s): predicted %.9f s, measured %.9f s \
-     on the optimized variant@."
-    memtrace_confirm_name predicted measured;
-  if confirmed then begin
-    Fmt.pf ppf "memtrace: prediction confirmed by measurement@.";
-    0
-  end
-  else begin
-    Fmt.pf ppf
-      "MEMTRACE REGRESSION: predicted saving not corroborated by the \
-       measured Mem-Transfer delta@.";
-    1
-  end
+  if confirmed then
+    Ok (line ^ "\nmemtrace: prediction confirmed by measurement")
+  else
+    Error
+      (line
+     ^ "\nMEMTRACE REGRESSION: predicted saving not corroborated by the \
+        measured Mem-Transfer delta")
 
-(* Memtrace smoke for CI: regenerate a fixed 3-benchmark subset and
-   require each entry verbatim in the committed baseline, plus a
-   confirmed counterfactual for the designated benchmark. *)
-let run_memtrace_smoke ppf =
-  let committed =
-    match open_in_bin memtrace_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith
-          "missing %s (run 'bench/main.exe memtrace' and commit the \
-           result)"
-          memtrace_path
-  in
-  let names = [ "BACKPROP"; "JACOBI"; "NW" ] in
-  let entries =
-    List.map
-      (fun n ->
-        memtrace_entry
-          (List.find (fun b -> b.Bench_def.name = n) benchmarks))
-      names
-  in
-  let ok =
-    List.for_all
-      (fun ((name, a) as e) ->
-        if contains ~needle:(memtrace_entry_json e) committed then begin
-          Fmt.pf ppf "  %-12s %8d wasted byte(s)  matches baseline@." name
-            a.Obs.Ledger.a_wasted_bytes;
-          true
-        end
-        else begin
-          Fmt.pf ppf "  %-12s MISMATCH against %s@." name memtrace_path;
-          false
-        end)
-      entries
-  in
-  if not ok then
-    Fmt.failwith
-      "memtrace smoke failed: regenerate with 'bench/main.exe memtrace' \
-       and inspect the diff";
-  let _, _, confirmed = memtrace_confirmation entries in
-  if not confirmed then
-    Fmt.failwith
-      "memtrace smoke failed: %s counterfactual not confirmed by the \
-       optimized variant's measured saving"
-      memtrace_confirm_name;
-  Fmt.pf ppf
-    "memtrace smoke: %d/%d byte-stable, counterfactual confirmed@."
-    (List.length names) (List.length names)
+let memtrace =
+  { name = "memtrace";
+    path = memtrace_path;
+    entry = memtrace_entry;
+    doc = memtrace_doc;
+    smoke =
+      Subset
+        { names = [ "BACKPROP"; "JACOBI"; "NW" ];
+          json = memtrace_entry_json;
+          note =
+            (fun (_, a) ->
+              Fmt.str "%8d wasted byte(s)" a.Obs.Ledger.a_wasted_bytes) };
+    invariants = memtrace_invariants;
+    report =
+      (fun ppf entries ->
+        Fmt.pf ppf
+          "Data-movement ledger sweep (seed 42, 1 device, source variant, \
+           instrumented)@.";
+        hr ppf;
+        List.iter
+          (fun (name, a) ->
+            let apply =
+              List.length
+                (List.filter
+                   (fun s -> s.Obs.Ledger.s_verdict = "apply")
+                   a.Obs.Ledger.a_sites)
+            in
+            Fmt.pf ppf
+              "  %-12s %8d B h2d %8d B d2h %8d wasted  %d apply  \
+               conservation exact@."
+              name a.Obs.Ledger.a_h2d_bytes a.Obs.Ledger.a_d2h_bytes
+              a.Obs.Ledger.a_wasted_bytes apply)
+          entries;
+        hr ppf;
+        Fmt.pf ppf "memtrace baseline written to %s@." memtrace_path) }
 
 (* ------------------------------------------------------------------ *)
 (* Saturate tier: search-based automatic directive optimization        *)
@@ -1860,6 +1808,15 @@ let saturate_confirmed (r : Saturate.t) =
          && s.Saturate.st_measured_s <= 4.0 *. s.Saturate.st_predicted_s))
     r.Saturate.r_steps
 
+let saturate_totals entries =
+  List.fold_left
+    (fun (tb, ta) (_, r) ->
+      (tb +. r.Saturate.r_total_before, ta +. r.Saturate.r_total_after))
+    (0.0, 0.0) entries
+
+let saturate_accepted entries =
+  List.length (List.filter (fun (_, r) -> r.Saturate.r_accepted >= 1) entries)
+
 let saturate_doc entries =
   let buf = Buffer.create 131072 in
   Buffer.add_string buf
@@ -1870,13 +1827,7 @@ let saturate_doc entries =
       if i > 0 then Buffer.add_string buf ",\n";
       Buffer.add_string buf (saturate_entry_json e))
     entries;
-  let total f = List.fold_left (fun acc (_, r) -> acc +. f r) 0.0 entries in
-  let tb = total (fun r -> r.Saturate.r_total_before) in
-  let ta = total (fun r -> r.Saturate.r_total_after) in
-  let accepted_benchmarks =
-    List.length
-      (List.filter (fun (_, r) -> r.Saturate.r_accepted >= 1) entries)
-  in
+  let tb, ta = saturate_totals entries in
   let accepted_rewrites =
     List.fold_left (fun acc (_, r) -> acc + r.Saturate.r_accepted) 0 entries
   in
@@ -1885,135 +1836,94 @@ let saturate_doc entries =
        "\n],\n\"accepted_benchmarks\": %d,\n\"accepted_rewrites\": %d,\n\
         \"total_before_s\": %.9f,\n\"total_after_s\": %.9f,\n\
         \"suite_reduction\": %.9f,\n\"median_reduction\": %.9f\n}\n"
-       accepted_benchmarks accepted_rewrites tb ta
+       (saturate_accepted entries) accepted_rewrites tb ta
        (if tb <= 0.0 then 0.0 else (tb -. ta) /. tb)
        (median_float (List.map (fun (_, r) -> saturate_reduction r) entries)));
   Buffer.contents buf
 
-let run_saturate ?(json = saturate_path) ppf =
-  Fmt.pf ppf
-    "Saturate sweep (seed 42, greedy search, 1/2/4-device validation, \
-     both engines)@.";
-  hr ppf;
-  let entries = List.map saturate_entry benchmarks in
-  List.iter
-    (fun (name, r) ->
-      Fmt.pf ppf
-        "  %-12s %2d step(s) %2d accepted  %12.9f s -> %12.9f s  \
-         (%5.1f%%)  %d store hit(s)@."
-        name
-        (List.length r.Saturate.r_steps)
-        r.Saturate.r_accepted r.Saturate.r_total_before
-        r.Saturate.r_total_after
-        (100.0 *. saturate_reduction r)
-        r.Saturate.r_compile_hits)
-    entries;
-  let oc = open_out json in
-  output_string oc (saturate_doc entries);
-  close_out oc;
-  hr ppf;
-  let tb =
-    List.fold_left (fun a (_, r) -> a +. r.Saturate.r_total_before) 0.0
-      entries
-  in
-  let ta =
-    List.fold_left (fun a (_, r) -> a +. r.Saturate.r_total_after) 0.0
-      entries
-  in
-  let accepted_benchmarks =
-    List.length
-      (List.filter (fun (_, r) -> r.Saturate.r_accepted >= 1) entries)
-  in
-  Fmt.pf ppf "saturate baseline written to %s@." json;
-  Fmt.pf ppf
-    "suite-wide simulated time: %.9f s -> %.9f s (%.1f%% reduction); \
-     median per-benchmark reduction %.1f%%@."
-    tb ta
-    (if tb <= 0.0 then 0.0 else 100.0 *. (tb -. ta) /. tb)
-    (100.0
-    *. median_float (List.map (fun (_, r) -> saturate_reduction r) entries));
+(* The gates of this tier: every accepted step confirmed in band, at
+   least 6 benchmarks (all of a smaller smoke subset) accepting a
+   material rewrite, and BACKPROP's search accepting its hoist — the
+   canonical rewrite of the paper's motivating example. *)
+let saturate_invariants entries =
+  let n = List.length entries in
+  let need = min 6 n in
+  let accepted = saturate_accepted entries in
   let unconfirmed =
     List.filter (fun (_, r) -> not (saturate_confirmed r)) entries
   in
-  if unconfirmed <> [] then begin
-    Fmt.pf ppf
-      "SATURATE REGRESSION: accepted rewrite(s) outside the 0.25-4x \
-       confirmation band on %s@."
-      (String.concat ", " (List.map fst unconfirmed));
-    1
-  end
-  else if accepted_benchmarks < 6 then begin
-    Fmt.pf ppf
-      "SATURATE REGRESSION: only %d/%d benchmark(s) accepted a material \
-       rewrite (need >= 6)@."
-      accepted_benchmarks (List.length entries);
-    1
-  end
-  else begin
-    Fmt.pf ppf
-      "saturate: %d/%d benchmark(s) accepted material rewrites, every \
-       prediction confirmed by measurement@."
-      accepted_benchmarks (List.length entries);
-    0
-  end
-
-(* Saturate smoke for CI: regenerate a fixed 2-benchmark subset, require
-   each entry verbatim in the committed baseline, and require BACKPROP's
-   search to accept its hoist — the canonical rewrite of the paper's
-   motivating example. *)
-let run_saturate_smoke ppf =
-  let committed =
-    match open_in_bin saturate_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith
-          "missing %s (run 'bench/main.exe saturate' and commit the \
-           result)"
-          saturate_path
-  in
-  let names = [ "BACKPROP"; "SPMUL" ] in
-  let entries =
-    List.map
-      (fun n ->
-        saturate_entry
-          (List.find (fun b -> b.Bench_def.name = n) benchmarks))
-      names
-  in
-  let ok =
-    List.for_all
-      (fun ((name, r) as e) ->
-        if contains ~needle:(saturate_entry_json e) committed then begin
-          Fmt.pf ppf "  %-12s %d accepted rewrite(s)  matches baseline@."
-            name r.Saturate.r_accepted;
-          true
-        end
-        else begin
-          Fmt.pf ppf "  %-12s MISMATCH against %s@." name saturate_path;
-          false
-        end)
-      entries
-  in
-  if not ok then
-    Fmt.failwith
-      "saturate smoke failed: regenerate with 'bench/main.exe saturate' \
-       and inspect the diff";
-  let backprop = List.assoc "BACKPROP" entries in
   let hoisted =
-    List.exists
-      (fun s -> s.Saturate.st_accepted && s.Saturate.st_kind = Saturate.Hoist)
-      backprop.Saturate.r_steps
+    match List.assoc_opt "BACKPROP" entries with
+    | Some r ->
+        List.exists
+          (fun s ->
+            s.Saturate.st_accepted && s.Saturate.st_kind = Saturate.Hoist)
+          r.Saturate.r_steps
+    | None -> false
   in
-  if not hoisted then
-    Fmt.failwith
-      "saturate smoke failed: BACKPROP's search no longer accepts its \
-       hoist";
-  Fmt.pf ppf
-    "saturate smoke: %d/%d byte-stable, BACKPROP hoist accepted@."
-    (List.length names) (List.length names)
+  if unconfirmed <> [] then
+    Error
+      (Fmt.str
+         "SATURATE REGRESSION: accepted rewrite(s) outside the 0.25-4x \
+          confirmation band on %s"
+         (String.concat ", " (List.map fst unconfirmed)))
+  else if accepted < need then
+    Error
+      (Fmt.str
+         "SATURATE REGRESSION: only %d/%d benchmark(s) accepted a material \
+          rewrite (need >= %d)"
+         accepted n need)
+  else if not hoisted then
+    Error "SATURATE REGRESSION: BACKPROP's search no longer accepts its hoist"
+  else
+    Ok
+      (Fmt.str
+         "saturate: %d/%d benchmark(s) accepted material rewrites, every \
+          prediction confirmed by measurement"
+         accepted n)
+
+let saturate =
+  { name = "saturate";
+    path = saturate_path;
+    entry = saturate_entry;
+    doc = saturate_doc;
+    smoke =
+      Subset
+        { names = [ "BACKPROP"; "SPMUL" ];
+          json = saturate_entry_json;
+          note =
+            (fun (_, r) ->
+              Fmt.str "%d accepted rewrite(s)" r.Saturate.r_accepted) };
+    invariants = saturate_invariants;
+    report =
+      (fun ppf entries ->
+        Fmt.pf ppf
+          "Saturate sweep (seed 42, greedy search, 1/2/4-device validation, \
+           both engines)@.";
+        hr ppf;
+        List.iter
+          (fun (name, r) ->
+            Fmt.pf ppf
+              "  %-12s %2d step(s) %2d accepted  %12.9f s -> %12.9f s  \
+               (%5.1f%%)  %d store hit(s)@."
+              name
+              (List.length r.Saturate.r_steps)
+              r.Saturate.r_accepted r.Saturate.r_total_before
+              r.Saturate.r_total_after
+              (100.0 *. saturate_reduction r)
+              r.Saturate.r_compile_hits)
+          entries;
+        hr ppf;
+        Fmt.pf ppf "saturate baseline written to %s@." saturate_path;
+        let tb, ta = saturate_totals entries in
+        Fmt.pf ppf
+          "suite-wide simulated time: %.9f s -> %.9f s (%.1f%% reduction); \
+           median per-benchmark reduction %.1f%%@."
+          tb ta
+          (if tb <= 0.0 then 0.0 else 100.0 *. (tb -. ta) /. tb)
+          (100.0
+          *. median_float
+               (List.map (fun (_, r) -> saturate_reduction r) entries))) }
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic-equivalence sweep (tier-0 coverage across the suite)       *)
@@ -2034,25 +1944,24 @@ let symeq_entry (b : Bench_def.t) =
     Symeq.Engine.check_program ~opts:Codegen.Options.fault_injection
       (Openarc_core.Faults.strip_parallelism_clauses (parse b))
   in
-  (default, fault)
+  (b.Bench_def.name, default, fault)
+
+let symeq_fully_proved (d : Symeq.Engine.t) =
+  d.Symeq.Engine.proved = List.length d.Symeq.Engine.kernels
 
 let symeq_doc entries =
-  let bench_json ((b : Bench_def.t), (default : Symeq.Engine.t), fault) =
+  let bench_json (name, default, fault) =
     Fmt.str
       "{\"name\": %s, \"fully_proved\": %b, \"default\": %s, \"fault\": %s}"
-      (Obs.Trace.json_str b.name)
-      (default.Symeq.Engine.proved = List.length default.Symeq.Engine.kernels)
-      (Symeq.Report.to_json { Symeq.Report.program = b.name; result = default })
+      (Obs.Trace.json_str name)
+      (symeq_fully_proved default)
+      (Symeq.Report.to_json { Symeq.Report.program = name; result = default })
       (Symeq.Report.to_json
-         { Symeq.Report.program = b.name ^ "-fault"; result = fault })
+         { Symeq.Report.program = name ^ "-fault"; result = fault })
   in
   let total f = List.fold_left (fun acc (_, d, _) -> acc + f d) 0 entries in
   let fully =
-    List.length
-      (List.filter
-         (fun (_, (d : Symeq.Engine.t), _) ->
-           d.Symeq.Engine.proved = List.length d.Symeq.Engine.kernels)
-         entries)
+    List.length (List.filter (fun (_, d, _) -> symeq_fully_proved d) entries)
   in
   let fault_disproved =
     List.fold_left
@@ -2072,64 +1981,54 @@ let symeq_doc entries =
     (total (fun d -> d.Symeq.Engine.unknown))
     fault_disproved
 
-let run_symeq ?(json = symeq_path) ppf =
-  Fmt.pf ppf "Symbolic equivalence sweep (tier-0, affine fragment)@.";
-  hr ppf;
-  Fmt.pf ppf "%-12s %28s %28s@." "" "default build P/D/U"
-    "fault build P/D/U";
-  let entries =
-    List.map
-      (fun (b : Bench_def.t) ->
-        let default, fault = symeq_entry b in
+let symeq =
+  { name = "symeq";
+    path = symeq_path;
+    entry = symeq_entry;
+    doc = symeq_doc;
+    smoke = Whole;
+    invariants = no_invariants;
+    report =
+      (fun ppf entries ->
+        Fmt.pf ppf "Symbolic equivalence sweep (tier-0, affine fragment)@.";
+        hr ppf;
+        Fmt.pf ppf "%-12s %28s %28s@." "" "default build P/D/U"
+          "fault build P/D/U";
         let pdu (r : Symeq.Engine.t) =
           Fmt.str "%d/%d/%d" r.Symeq.Engine.proved r.Symeq.Engine.disproved
             r.Symeq.Engine.unknown
         in
-        Fmt.pf ppf "%-12s %28s %28s%s@." b.name (pdu default) (pdu fault)
-          (if default.Symeq.Engine.proved
-              = List.length default.Symeq.Engine.kernels
-           then "  [all proved]"
-           else "");
-        (b, default, fault))
-      benchmarks
-  in
-  let doc = symeq_doc entries in
-  let oc = open_out json in
-  output_string oc doc;
-  close_out oc;
-  hr ppf;
-  Fmt.pf ppf "symbolic sweep written to %s@." json;
-  Fmt.pf ppf
-    "(a proved kernel skips the numeric comparison tier; the fault build \
-     reproduces Table II's clause-stripping, where every active fault \
-     must be disproved)@."
+        List.iter
+          (fun (name, default, fault) ->
+            Fmt.pf ppf "%-12s %28s %28s%s@." name (pdu default) (pdu fault)
+              (if symeq_fully_proved default then "  [all proved]" else ""))
+          entries;
+        hr ppf;
+        Fmt.pf ppf "symbolic sweep written to %s@." symeq_path;
+        Fmt.pf ppf
+          "(a proved kernel skips the numeric comparison tier; the fault \
+           build reproduces Table II's clause-stripping, where every active \
+           fault must be disproved)@.") }
 
-(* Byte-stability gate for CI: regenerate the whole document and require
-   it to match the committed baseline exactly. *)
-let run_symeq_smoke ppf =
-  let committed =
-    match open_in_bin symeq_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith "missing %s (run 'bench/main.exe symeq' and commit \
-                      the result)" symeq_path
-  in
-  let entries =
-    List.map
-      (fun (b : Bench_def.t) ->
-        let default, fault = symeq_entry b in
-        (b, default, fault))
-      benchmarks
-  in
-  let regenerated = symeq_doc entries in
-  if regenerated = committed then
-    Fmt.pf ppf "symeq smoke: %d benchmarks byte-stable against %s@."
-      (List.length entries) symeq_path
-  else
-    Fmt.failwith
-      "symeq smoke failed: regenerate with 'bench/main.exe symeq' and \
-       inspect the diff"
+(* ------------------------------------------------------------------ *)
+(* The tier list and the whole evaluation                              *)
+(* ------------------------------------------------------------------ *)
+
+(** Every golden tier, in the order the bench driver's usage lists them. *)
+let golden =
+  [ Golden faults; Golden symeq; Golden profile; Golden scale;
+    Golden imbalance; Golden memtrace; Golden saturate ]
+
+let run_all ppf =
+  run_table1 ppf; Fmt.pf ppf "@.";
+  run_fig1 ppf; Fmt.pf ppf "@.";
+  run_table2 ppf; Fmt.pf ppf "@.";
+  run_fig3 ppf; Fmt.pf ppf "@.";
+  run_table3 ppf; Fmt.pf ppf "@.";
+  run_fig4 ppf; Fmt.pf ppf "@.";
+  run_ablation ppf; Fmt.pf ppf "@.";
+  run_granularity ppf; Fmt.pf ppf "@.";
+  run_sweep ppf; Fmt.pf ppf "@.";
+  ignore (regenerate ppf (Golden faults));
+  Fmt.pf ppf "@.";
+  ignore (regenerate ppf (Golden symeq))

@@ -2,13 +2,15 @@
     (Table I-III, Figures 1, 3, 4, plus the design ablations), then runs a
     Bechamel micro-benchmark suite over the compiler pipeline stages.
 
-    Usage: [main.exe [table1|fig1|table2|fig3|table3|fig4|ablation|granularity|sweep|faults|symeq|symeq-smoke|profile|profile-smoke|imbalance|imbalance-smoke|memtrace|memtrace-smoke|trend|regress|wall|micro|all]]
-    With no argument everything runs.  [trend] appends per-benchmark run
-    summaries to BENCH_trend.jsonl; [regress] diffs the current sweep
-    against the committed BENCH_profile.json under per-benchmark
-    tolerances and exits 1 with a culprit report on regression; [wall]
-    measures real interpreter wall-clock per benchmark and engine
-    (median-of-N) and can gate on the tree-vs-compiled speedup. *)
+    With no argument everything runs; [usage] below lists the
+    subcommands.  Each golden tier [X] of {!Experiments.golden}
+    regenerates its committed BENCH_X.json and [X-smoke] byte-compares
+    against it.  [trend] appends per-benchmark run summaries to
+    BENCH_trend.jsonl; [regress] diffs the current sweep against the
+    committed BENCH_profile.json under per-benchmark tolerances and exits
+    1 with a culprit report on regression; [wall] measures real
+    interpreter wall-clock per benchmark and engine (median-of-N) and can
+    gate on the tree-vs-compiled speedup. *)
 
 let ppf = Fmt.stdout
 
@@ -73,17 +75,25 @@ let run_micro () =
     results
 
 let usage =
-  "usage: main.exe \
-   [table1|fig1|table2|fig3|table3|fig4|ablation|granularity|sweep|faults|symeq|symeq-smoke|\
-   profile|profile-smoke|scale|scale-smoke|imbalance|imbalance-smoke|\
-   memtrace|memtrace-smoke|saturate|saturate-smoke|trend|regress|wall|micro|all] \
-   [options]\n\
-  \  trend options:   --out FILE  --benches A,B,..  --label TEXT\n\
-  \                   --devices N  --schedule block|cyclic\n\
-  \  regress options: --baseline FILE  --benches A,B,..  --json FILE\n\
-  \                   --saturate FILE\n\
-  \  wall options:    --benches A,B,..  --repeats N  --json FILE\n\
-  \                   --engine tree|compiled|both  --min-speedup X"
+  let tiers =
+    List.concat_map
+      (fun (Experiments.Golden t) ->
+        [ t.Experiments.name; t.Experiments.name ^ "-smoke" ])
+      Experiments.golden
+  in
+  Fmt.str
+    "usage: main.exe [%s] [options]\n\
+    \  trend options:   --out FILE  --benches A,B,..  --label TEXT\n\
+    \                   --devices N  --schedule block|cyclic\n\
+    \  regress options: --baseline FILE  --benches A,B,..  --json FILE\n\
+    \                   --saturate FILE\n\
+    \  wall options:    --benches A,B,..  --repeats N  --json FILE\n\
+    \                   --engine tree|compiled|both  --min-speedup X"
+    (String.concat "|"
+       ([ "table1"; "fig1"; "table2"; "fig3"; "table3"; "fig4"; "ablation";
+          "granularity"; "sweep" ]
+       @ tiers
+       @ [ "trend"; "regress"; "wall"; "micro"; "all" ]))
 
 (* Tiny --flag VALUE parser for the trend/regress subcommands.  Any
    unknown flag or missing value is malformed input: usage to stderr,
@@ -127,51 +137,6 @@ let () =
   | "ablation" -> Experiments.run_ablation ppf
   | "granularity" -> Experiments.run_granularity ppf
   | "sweep" -> Experiments.run_sweep ppf
-  | "faults" -> Experiments.run_faults ~json:"BENCH_faults.json" ppf
-  | "symeq" -> Experiments.run_symeq ppf
-  | "symeq-smoke" -> (
-      try Experiments.run_symeq_smoke ppf
-      with Failure msg ->
-        Fmt.epr "%s@." msg;
-        exit 1)
-  | "profile" -> Experiments.run_profile ppf
-  | "profile-smoke" -> (
-      try Experiments.run_profile_smoke ppf
-      with Failure msg ->
-        Fmt.epr "%s@." msg;
-        exit 1)
-  | "scale" ->
-      let code = Experiments.run_scale ppf in
-      if code <> 0 then exit code
-  | "scale-smoke" -> (
-      try Experiments.run_scale_smoke ppf
-      with Failure msg ->
-        Fmt.epr "%s@." msg;
-        exit 1)
-  | "imbalance" ->
-      let code = Experiments.run_imbalance ppf in
-      if code <> 0 then exit code
-  | "imbalance-smoke" -> (
-      try Experiments.run_imbalance_smoke ppf
-      with Failure msg ->
-        Fmt.epr "%s@." msg;
-        exit 1)
-  | "memtrace" ->
-      let code = Experiments.run_memtrace ppf in
-      if code <> 0 then exit code
-  | "memtrace-smoke" -> (
-      try Experiments.run_memtrace_smoke ppf
-      with Failure msg ->
-        Fmt.epr "%s@." msg;
-        exit 1)
-  | "saturate" ->
-      let code = Experiments.run_saturate ppf in
-      if code <> 0 then exit code
-  | "saturate-smoke" -> (
-      try Experiments.run_saturate_smoke ppf
-      with Failure msg ->
-        Fmt.epr "%s@." msg;
-        exit 1)
   | "trend" ->
       let out = ref Experiments.trend_path in
       let benches = ref None in
@@ -272,10 +237,23 @@ let () =
   | "micro" -> run_micro ()
   | "all" ->
       Experiments.run_all ppf;
-      Fmt.pf ppf "@.";
-      Experiments.run_symeq ppf;
       run_micro ()
-  | other ->
-      Fmt.epr "unknown experiment '%s'@.%s@." other usage;
-      exit 2);
+  | other -> (
+      let tier suffix =
+        List.find_opt
+          (fun (Experiments.Golden t) -> other = t.Experiments.name ^ suffix)
+          Experiments.golden
+      in
+      match (tier "", tier "-smoke") with
+      | Some g, _ ->
+          let code = Experiments.regenerate ppf g in
+          if code <> 0 then exit code
+      | None, Some g -> (
+          try Experiments.smoke ppf g
+          with Failure msg ->
+            Fmt.epr "%s@." msg;
+            exit 1)
+      | None, None ->
+          Fmt.epr "unknown experiment '%s'@.%s@." other usage;
+          exit 2));
   Fmt.pf ppf "@."

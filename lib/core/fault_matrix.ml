@@ -62,7 +62,7 @@ let run ?(seed = 42) ?(kinds = Gpusim.Fault_plan.all_kinds)
       let prog = Minic.Parser.parse_string ~file:s.s_name s.s_source in
       let c = Compiler.compile_program prog in
       let tp = c.Compiler.tprog in
-      let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
+      let reference = (Accrt.Compile.reference prog).Accrt.Eval.env in
       let base_time_for devices =
         let baseline =
           Accrt.Interp.run ~coherence:false ~seed ~devices tp
@@ -197,8 +197,6 @@ let pp ppf t =
     (if bad = [] then "" else " — MATRIX FAILED");
   Fmt.pf ppf "@]"
 
-let json_str s = Fmt.str "\"%s\"" (String.concat "\\\"" (String.split_on_char '"' s))
-
 let to_json t =
   let cell c =
     Fmt.str
@@ -206,9 +204,10 @@ let to_json t =
        \"injected\": %d, \"retries\": %d, \"reexecs\": %d, \"fallbacks\": \
        %d, \"failovers\": %d, \"verified\": %d, \"correct\": %b, \
        \"recovered\": %b, \"device_lost\": %b, \"overhead\": %.6f}"
-      (json_str c.c_bench)
-      (json_str (Gpusim.Fault_plan.kind_name c.c_kind))
-      (json_str c.c_policy) c.c_devices c.c_injected c.c_retries c.c_reexecs
+      (Obs.Trace.json_str c.c_bench)
+      (Obs.Trace.json_str (Gpusim.Fault_plan.kind_name c.c_kind))
+      (Obs.Trace.json_str c.c_policy)
+      c.c_devices c.c_injected c.c_retries c.c_reexecs
       c.c_fallbacks c.c_failovers c.c_verified c.c_correct c.c_recovered
       c.c_device_lost c.c_overhead
   in

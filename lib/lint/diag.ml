@@ -103,24 +103,7 @@ let to_text ds = String.concat "" (List.map (Fmt.str "%a@." pp) ds)
 
 (* ------------------------------- JSON ------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = Fmt.str "\"%s\"" (json_escape s)
-
-let json_opt = function None -> "null" | Some s -> json_str s
+let json_opt = function None -> "null" | Some s -> Obs.Trace.json_str s
 
 let to_json ds =
   let obj d =
@@ -128,11 +111,11 @@ let to_json ds =
       "{\"code\": %s, \"severity\": %s, \"file\": %s, \"line\": %d, \
        \"col\": %d, \"var\": %s, \"site\": %s, \"message\": %s, \"fixit\": \
        %s}"
-      (json_str d.code)
-      (json_str (severity_name d.severity))
-      (json_str d.loc.Minic.Loc.file)
+      (Obs.Trace.json_str d.code)
+      (Obs.Trace.json_str (severity_name d.severity))
+      (Obs.Trace.json_str d.loc.Minic.Loc.file)
       d.loc.Minic.Loc.line d.loc.Minic.Loc.col (json_opt d.var)
-      (json_opt d.site) (json_str d.message)
+      (json_opt d.site) (Obs.Trace.json_str d.message)
       (json_opt (Option.map fixit_text d.fixit))
   in
   Fmt.str "[%s]" (String.concat ",\n " (List.map obj ds))

@@ -138,37 +138,24 @@ let pp_report ~seed ~plan ~policy ~metrics ppf s =
       List.iter (fun e -> Fmt.pf ppf "@,  %a" pp_entry e) log);
   Fmt.pf ppf "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = Fmt.str "\"%s\"" (json_escape s)
-
 let report_json ~seed ~plan ~policy ~metrics s =
   let event e =
     Fmt.str "{\"kind\": %s, \"target\": %s, \"op\": %s, \"time\": %.9f}"
-      (json_str (Gpusim.Fault_plan.kind_name e.Gpusim.Fault_plan.e_kind))
-      (json_str e.Gpusim.Fault_plan.e_target)
-      (json_str e.Gpusim.Fault_plan.e_op)
+      (Obs.Trace.json_str
+         (Gpusim.Fault_plan.kind_name e.Gpusim.Fault_plan.e_kind))
+      (Obs.Trace.json_str e.Gpusim.Fault_plan.e_target)
+      (Obs.Trace.json_str e.Gpusim.Fault_plan.e_op)
       e.Gpusim.Fault_plan.e_time
   in
   let entry e =
     Fmt.str
       "{\"fault\": %s, \"target\": %s, \"op\": %s, \"action\": %s, \"ok\": \
        %b}"
-      (json_str (Gpusim.Fault_plan.kind_name e.l_fault))
-      (json_str e.l_target) (json_str e.l_op) (json_str e.l_action) e.l_ok
+      (Obs.Trace.json_str (Gpusim.Fault_plan.kind_name e.l_fault))
+      (Obs.Trace.json_str e.l_target)
+      (Obs.Trace.json_str e.l_op)
+      (Obs.Trace.json_str e.l_action)
+      e.l_ok
   in
   let events = Gpusim.Fault_plan.events plan in
   Fmt.str
@@ -179,8 +166,8 @@ let report_json ~seed ~plan ~policy ~metrics s =
      \"device_lost\": %b},\n \"recovery_time\": %.9f,\n \
      \"log\": [%s]}"
     seed
-    (json_str policy.p_name)
-    (json_str (Gpusim.Fault_plan.to_spec plan))
+    (Obs.Trace.json_str policy.p_name)
+    (Obs.Trace.json_str (Gpusim.Fault_plan.to_spec plan))
     (List.length events)
     (String.concat ", " (List.map event events))
     s.retries s.retransfers s.reexecs s.fallbacks s.failovers s.devices_lost

@@ -1,7 +1,8 @@
 (* Integration tests of the bench driver's sentinel subcommands: trend
    accumulation, regress against the committed baseline (byte-reproducible
    when clean, exit 1 with culprits under a seeded cost-model
-   perturbation), and the exit-2 usage convention. *)
+   perturbation), the golden-tier smoke driver (pass, named drift, missing
+   baseline), and the exit-2 usage convention. *)
 
 let exe = "../bench/main.exe"
 
@@ -9,13 +10,21 @@ let baseline = "../BENCH_profile.json"
 
 let available = Sys.file_exists exe && Sys.file_exists baseline
 
-(* Separate stdout/stderr capture: the usage satellite requires the
-   diagnostics on stderr specifically. *)
-let run_cmd ?(env = "") args =
+(* Separate stdout/stderr capture: the usage convention requires the
+   diagnostics on stderr specifically.  With [dir], bench/main.exe runs with
+   that directory as its working directory. *)
+let run_cmd ?(env = "") ?dir args =
   let out = Filename.temp_file "bench_cli" ".out" in
   let err = Filename.temp_file "bench_cli" ".err" in
+  let cd, exe =
+    match dir with
+    | None -> ("", exe)
+    | Some d ->
+        ( Fmt.str "cd %s && " (Filename.quote d),
+          Filename.quote (Filename.concat (Sys.getcwd ()) exe) )
+  in
   let cmd =
-    Fmt.str "%s%s %s > %s 2> %s"
+    Fmt.str "%s%s%s %s > %s 2> %s" cd
       (if env = "" then "" else env ^ " ")
       exe args (Filename.quote out) (Filename.quote err)
   in
@@ -209,6 +218,73 @@ let test_trend_accumulates () =
     | _ -> Alcotest.fail "expected two lines"
   end
 
+let read_file p =
+  let ic = open_in_bin p in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* Run [profile-smoke] in a fresh directory holding [doc] as its
+   BENCH_profile.json (no file at all when [doc] is [None]). *)
+let profile_smoke_in ?doc () =
+  let dir = Filename.temp_file "bench_smoke" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let file = Filename.concat dir "BENCH_profile.json" in
+  Option.iter
+    (fun d ->
+      let oc = open_out_bin file in
+      output_string oc d;
+      close_out oc)
+    doc;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists file then Sys.remove file;
+      Sys.rmdir dir)
+    (fun () -> run_cmd ~dir "profile-smoke")
+
+let test_smoke_committed_copy () =
+  if available then begin
+    let code, out, err = profile_smoke_in ~doc:(read_file baseline) () in
+    Alcotest.(check int) "unmodified copy: exit 0" 0 code;
+    Alcotest.(check string) "quiet stderr" "" err;
+    Alcotest.(check bool) "subset byte-stable" true
+      (contains ~needle:"profile smoke: 3/3 byte-stable" out)
+  end
+
+let test_smoke_names_drift () =
+  if available then begin
+    (* bump the first digit of JACOBI's "total" *)
+    let doc = read_file baseline in
+    let at = Str.search_forward (Str.regexp_string "\"JACOBI\"") doc 0 in
+    let key = "\"total\": " in
+    let i =
+      Str.search_forward (Str.regexp_string key) doc at + String.length key
+    in
+    let drifted = Bytes.of_string doc in
+    Bytes.set drifted i (if doc.[i] = '9' then '8' else '9');
+    let code, out, err =
+      profile_smoke_in ~doc:(Bytes.to_string drifted) ()
+    in
+    Alcotest.(check int) "drifted entry: exit 1" 1 code;
+    Alcotest.(check bool) "stderr names the benchmark" true
+      (contains ~needle:"JACOBI" err);
+    Alcotest.(check bool) "stderr names the file" true
+      (contains ~needle:"BENCH_profile.json" err);
+    Alcotest.(check bool) "other entries still match" true
+      (contains ~needle:"SRAD" out && contains ~needle:"matches baseline" out)
+  end
+
+let test_smoke_missing_file () =
+  if available then begin
+    let code, _, err = profile_smoke_in () in
+    Alcotest.(check int) "missing baseline: exit 1" 1 code;
+    Alcotest.(check bool) "regeneration hint" true
+      (contains
+         ~needle:"missing BENCH_profile.json (run 'bench/main.exe profile'"
+         err)
+  end
+
 let tests =
   [ Alcotest.test_case "unknown subcommand" `Quick test_unknown_subcommand;
     Alcotest.test_case "unknown flag" `Quick test_unknown_flag;
@@ -216,4 +292,10 @@ let tests =
     Alcotest.test_case "regress json" `Quick test_regress_json;
     Alcotest.test_case "regress detects seeded regression" `Quick
       test_regress_detects_seeded_regression;
-    Alcotest.test_case "trend accumulates" `Quick test_trend_accumulates ]
+    Alcotest.test_case "trend accumulates" `Quick test_trend_accumulates;
+    Alcotest.test_case "smoke passes on committed copy" `Quick
+      test_smoke_committed_copy;
+    Alcotest.test_case "smoke names drifted entry" `Quick
+      test_smoke_names_drift;
+    Alcotest.test_case "smoke missing baseline" `Quick
+      test_smoke_missing_file ]
