@@ -888,46 +888,55 @@ let prepare cache (k : kernel) =
     Hashtbl.replace cache.ckernels (key_of cache k)
       (compile_kernel cache.cunit k)
 
-(** Compiled counterpart of {!Kernel_exec.run}: a faithful transcription
-    of the tree-walking kernel runner with registers in place of frames.
-    [ops] accounting, iteration counts, reduction tree order, raced-scalar
-    and commit semantics are bit-identical. *)
-let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
-    Kernel_exec.result =
+let ckernel cache (k : kernel) =
   prepare cache k;
-  let ck = Hashtbl.find cache.ckernels (key_of cache k) in
-  let host_env = host_ctx.env in
+  Hashtbl.find cache.ckernels (key_of cache k)
+
+(** A kernel's registers bound for one launch (or one shard) on a device:
+    base registers hold device-array bindings and kernel-entry scalar
+    copies; [b_class] are the classified scalars' thread cells (with the
+    value each thread starts from) and [b_members] the extra-induction
+    candidates that are kernel-entry scalars.  Non-member candidates alias
+    their base register. *)
+type bound = {
+  b_st : st;
+  b_class : (string * scalar_class * Value.cell * scalar) list;
+  b_members : (string * Value.cell * scalar) list;
+}
+
+(* Register-binding prelude shared by [run_kernel] and [run_shard].
+   [entry] holds kernel-entry scalar values: a host scalar missing from
+   it is captured from the host as it binds (a whole launch starts from
+   an empty table; a shard passes its session's, captured by
+   [Kernel_exec.start]).  Names bind in [kernel_names] order
+   (device-buffer resolution can raise, so order matters). *)
+let bind ck (host_ctx : Eval.ctx) device entry =
   let regs = Array.make ck.ck_nregs Unbound in
   let kenv : Value.t = { Value.globals = Hashtbl.create 1; frames = [] } in
-  let kctx = Eval.make host_ctx.prog kenv in
-  let st = { ctx = kctx; regs } in
-
-  (* Base registers: device-array bindings and kernel-entry scalar copies,
-     bound in [kernel_names] order (device-buffer resolution can raise, so
-     order matters). *)
-  let entry = Hashtbl.create 16 in
+  let st = { ctx = Eval.make host_ctx.prog kenv; regs } in
   List.iter
     (fun (n, slot) ->
-      match Value.lookup host_env n with
+      match Value.lookup host_ctx.env n with
       | Some (Array s) ->
           let root = s.root in
           let dbuf = Gpusim.Device.buffer device root in
           regs.(slot) <-
             Rarray { buf = Some dbuf; root; shape = Value.shape_of s }
       | Some (Scalar c) ->
-          Hashtbl.replace entry n c.v;
-          regs.(slot) <- Rscalar { v = c.v }
+          let v =
+            match Hashtbl.find_opt entry n with
+            | Some v -> v
+            | None ->
+                Hashtbl.replace entry n c.v;
+                c.v
+          in
+          regs.(slot) <- Rscalar { v }
       | None -> () (* declared inside the kernel body *))
     ck.ck_base;
-
   let entry_value v =
     match Hashtbl.find_opt entry v with Some x -> x | None -> Int 0
   in
-
-  (* Thread registers: one cell per classified scalar (reset per thread in
-     the parallel modes), plus entry-member extra-induction candidates;
-     non-member candidates alias their base register. *)
-  let class_cells =
+  let b_class =
     List.map
       (fun (v, c, slot) ->
         let init =
@@ -940,25 +949,41 @@ let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
         (v, c, cell, init))
       ck.ck_class
   in
-  let member_cands =
+  let b_members =
     List.filter_map
       (fun (v, tslot, bslot) ->
-        if Hashtbl.mem entry v then begin
-          let init = entry_value v in
-          let cell = { v = init } in
-          regs.(tslot) <- Rscalar cell;
-          Some (v, cell, init)
-        end
-        else begin
-          regs.(tslot) <- regs.(bslot);
-          None
-        end)
+        match Hashtbl.find_opt entry v with
+        | Some init ->
+            let cell = { v = init } in
+            regs.(tslot) <- Rscalar cell;
+            Some (v, cell, init)
+        | None ->
+            regs.(tslot) <- regs.(bslot);
+            None)
       ck.ck_cands
   in
-  let reset_thread () =
-    List.iter (fun (_, _, cell, init) -> cell.v <- init) class_cells;
-    List.iter (fun (_, cell, init) -> cell.v <- init) member_cands
+  { b_st = st; b_class; b_members }
+
+(* Reset the thread registers for the next thread of a parallel mode. *)
+let reset_thread b =
+  List.iter (fun (_, _, cell, init) -> cell.v <- init) b.b_class;
+  List.iter (fun (_, cell, init) -> cell.v <- init) b.b_members
+
+(** Compiled counterpart of {!Kernel_exec.run}: a faithful transcription
+    of the tree-walking kernel runner with registers in place of frames.
+    [ops] accounting, iteration counts, reduction tree order, raced-scalar
+    and commit semantics are bit-identical. *)
+let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
+    Kernel_exec.result =
+  let ck = ckernel cache k in
+  let host_env = host_ctx.env in
+  let entry = Hashtbl.create 16 in
+  let b = bind ck host_ctx device entry in
+  let entry_value v =
+    match Hashtbl.find_opt entry v with Some x -> x | None -> Int 0
   in
+  let st = b.b_st in
+  let class_cells = b.b_class and member_cands = b.b_members in
 
   let partials : (string, scalar list ref) Hashtbl.t = Hashtbl.create 4 in
   List.iter
@@ -997,7 +1022,7 @@ let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
         (fun (v, _, cell, _) -> cell.v <- entry_value v)
         class_cells;
       let driver = { v = init st } in
-      regs.(driver_slot) <- Rscalar driver;
+      st.regs.(driver_slot) <- Rscalar driver;
       while truthy (cond st) do
         incr iterations;
         ck.ck_body st;
@@ -1016,10 +1041,10 @@ let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
       Hashtbl.replace last_values kl_var driver.v
   | Cpar { driver_slot; init; cond; step; kl_var } ->
       let driver = { v = init st } in
-      regs.(driver_slot) <- Rscalar driver;
+      st.regs.(driver_slot) <- Rscalar driver;
       while truthy (cond st) do
         incr iterations;
-        reset_thread ();
+        reset_thread b;
         ck.ck_body st;
         record_thread_results ();
         match step with Some c -> c st | None -> ()
@@ -1058,4 +1083,49 @@ let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
   (match k.k_loop with Some l -> commit_plain l.kl_var | None -> ());
   List.iter (fun (v, _, _) -> commit_plain v) member_cands;
 
-  { Kernel_exec.iterations = !iterations; ops = kctx.ops }
+  { Kernel_exec.iterations = !iterations; ops = st.ctx.ops }
+
+(** Compiled counterpart of {!Kernel_exec.run_shard}: runs the cached
+    register-mode kernel over the session's entry values, stepping the
+    full loop driver but executing only the ordinals [owns] selects, and
+    stages each thread's results through the session's shared
+    {!Kernel_exec.stage}/{!Kernel_exec.publish}, so commits and the
+    tree-order reduction are the tree runner's own.
+    @raise Gpusim.Device.Device_fault if the device dies mid-shard (its
+    staged results are discarded). *)
+let run_shard cache session ?weights device ~owns =
+  let ck = ckernel cache (Kernel_exec.kernel session) in
+  match ck.ck_mode with
+  | Cnone | Cseq _ -> invalid_arg "Compile.run_shard: not shardable"
+  | Cpar { driver_slot; init; cond; step; _ } ->
+      let b =
+        bind ck (Kernel_exec.host session) device (Kernel_exec.entry session)
+      in
+      let st = b.b_st in
+      let staged = Kernel_exec.stage session in
+      let executed = ref 0 in
+      let ordinal = ref 0 in
+      let driver = { v = init st } in
+      st.regs.(driver_slot) <- Rscalar driver;
+      while truthy (cond st) do
+        let o = !ordinal in
+        if owns o then begin
+          incr executed;
+          reset_thread b;
+          let ops0 = st.ctx.ops in
+          ck.ck_body st;
+          (match weights with
+          | Some w when o < Array.length w -> w.(o) <- st.ctx.ops - ops0
+          | Some _ | None -> ());
+          List.iter
+            (fun (v, _, cell, _) -> Kernel_exec.stage_value staged v o cell.v)
+            b.b_class;
+          List.iter
+            (fun (v, cell, _) -> Kernel_exec.stage_value staged v o cell.v)
+            b.b_members
+        end;
+        ordinal := o + 1;
+        match step with Some c -> c st | None -> ()
+      done;
+      Kernel_exec.publish session staged;
+      !executed

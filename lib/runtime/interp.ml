@@ -205,26 +205,32 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   Eval.init_globals ctx;
 
   (* Closure-compilation engine: kernel bodies compile once (cached by
-     kernel id) and run over register frames; host statement leaves
+     content key) and run over register frames — whole launches through
+     [exec_kernel], each shard of a sharded launch through
+     [Compile.run_shard]; re-executed launches and re-executed or
+     failed-over shards take the run's engine too.  [compiled] accounts
+     one compile or cache hit per such execution.  Host statement leaves
      compile in mirror mode (cached by translated-statement id), keeping
      the environment name-addressable for everything around them.  The
-     recovery paths (CPU fallback, recovery validation) stay on the tree
-     walker under either engine: recovery deliberately re-executes
-     through the independent engine. *)
+     recovery checks (CPU fallback, recovery validation) stay on the tree
+     walker under either engine: they deliberately re-execute through the
+     independent engine. *)
   let ecache = lazy (Compile.create_cache ?store:kcache tp.source) in
+  let compiled k =
+    let cache = Lazy.force ecache in
+    if Compile.cached cache k then bump "engine_compile_hits"
+    else begin
+      bump "engine_compiles";
+      in_span Obs.Trace.Phase "compile-kernel"
+        ~loc:(Minic.Loc.to_string k.k_loc) ~directive:k.k_name
+        (fun () -> Compile.prepare cache k)
+    end;
+    cache
+  in
   let exec_kernel dev k =
     match engine with
     | Engine.Tree -> Kernel_exec.run ctx dev k
-    | Engine.Compiled ->
-        let cache = Lazy.force ecache in
-        if Compile.cached cache k then bump "engine_compile_hits"
-        else begin
-          bump "engine_compiles";
-          in_span Obs.Trace.Phase "compile-kernel"
-            ~loc:(Minic.Loc.to_string k.k_loc) ~directive:k.k_name
-            (fun () -> Compile.prepare cache k)
-        end;
-        Compile.run_kernel cache ctx dev k
+    | Engine.Compiled -> Compile.run_kernel (compiled k) ctx dev k
   in
 
   let cmodel = device.Gpusim.Device.cm in
@@ -893,6 +899,12 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
      broadcast back; recoveries are validated by the §III-A comparator. *)
   let launch_sharded k async ~ckpt ~scalar_values =
     let session = Kernel_exec.start ctx k in
+    let run_shard ~weights dev ~owns =
+      match engine with
+      | Engine.Tree -> Kernel_exec.run_shard session ~weights dev ~owns
+      | Engine.Compiled ->
+          Compile.run_shard (compiled k) session ~weights dev ~owns
+    in
     let total = Kernel_exec.total_iterations session in
     let parts = Array.of_list (Gpusim.Device_set.alive_ids devset) in
     let nparts = Array.length parts in
@@ -929,8 +941,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
       match
         Gpusim.Device.begin_launch dev ~label:k.k_name;
         shard_iters.(p) <-
-          Kernel_exec.run_shard session ~weights dev
-            ~owns:(fun i -> assign i = p);
+          run_shard ~weights dev ~owns:(fun i -> assign i = p);
         Gpusim.Device.scrub dev written
       with
       | [] -> ()

@@ -41,7 +41,8 @@ exception Stop
     (meaningful on instrumented programs); [engine] selects the kernel
     execution engine — {!Engine.Compiled} (default) runs closure-compiled
     kernel bodies and host statements (cached per kernel, bit-identical
-    results), {!Engine.Tree} walks the AST (the differential oracle);
+    results; every shard of a sharded launch too), {!Engine.Tree} walks
+    the AST (the differential oracle);
     [granularity] picks whole-array
     (default, as the paper) or interval tracking; [trace] records the
     execution timeline; [seed] drives the deterministic jitter and fault

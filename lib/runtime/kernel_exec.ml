@@ -385,6 +385,48 @@ let start (host_ctx : Eval.ctx) (k : kernel) : session =
 
 let total_iterations s = s.s_total
 
+let host s = s.s_host
+let kernel s = s.s_k
+let entry s = s.s_entry
+
+(** One shard's scalar results, ordinal-tagged and held back until the
+    shard completes: reduction partials accumulate, every other handled
+    scalar keeps its highest-ordinal write. *)
+type staged = {
+  st_red : (string, (int * scalar) list ref) Hashtbl.t;
+  st_last : (string, int * scalar) Hashtbl.t;
+}
+
+let stage s =
+  let red = Hashtbl.create 4 in
+  List.iter
+    (fun (v, c) ->
+      match c with
+      | Sc_reduction _ -> Hashtbl.replace red v (ref [])
+      | Sc_private | Sc_firstprivate | Sc_raced _ -> ())
+    s.s_k.k_scalars;
+  { st_red = red; st_last = Hashtbl.create 8 }
+
+let stage_value st v ordinal x =
+  match Hashtbl.find_opt st.st_red v with
+  | Some r -> r := (ordinal, x) :: !r
+  | None -> Hashtbl.replace st.st_last v (ordinal, x)
+
+(* Clean completion: merge a shard's staged results into the session. *)
+let publish s st =
+  Hashtbl.iter
+    (fun v r ->
+      match Hashtbl.find_opt s.s_red v with
+      | Some dst -> dst := !r @ !dst
+      | None -> ())
+    st.st_red;
+  Hashtbl.iter
+    (fun v (o, x) ->
+      match Hashtbl.find_opt s.s_last v with
+      | Some (o', _) when o' > o -> ()
+      | Some _ | None -> Hashtbl.replace s.s_last v (o, x))
+    st.st_last
+
 (** Execute the ordinals selected by [owns] on [device], against its
     buffers.  Returns the number of iterations executed.  [weights]
     (sized [total_iterations]) receives the measured interpreted-op
@@ -434,31 +476,14 @@ let run_shard s ?weights device ~owns =
       s.s_extra;
     frame
   in
-  (* Staged results, published only on clean shard completion. *)
-  let staged_red : (string, (int * scalar) list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  List.iter
-    (fun (v, c) ->
-      match c with
-      | Sc_reduction _ -> Hashtbl.replace staged_red v (ref [])
-      | Sc_private | Sc_firstprivate | Sc_raced _ -> ())
-    class_of;
-  let staged_last : (string, int * scalar) Hashtbl.t = Hashtbl.create 8 in
+  let staged = stage s in
+  (* A thread frame holds exactly the classified and extra-induction
+     scalars (the body's own declarations land in the scope above it). *)
   let record ordinal frame =
     Hashtbl.iter
       (fun v b ->
         match b with
-        | Scalar c -> (
-            match List.assoc_opt v class_of with
-            | Some (Sc_reduction _) -> (
-                match Hashtbl.find_opt staged_red v with
-                | Some r -> r := (ordinal, c.v) :: !r
-                | None -> ())
-            | Some _ -> Hashtbl.replace staged_last v (ordinal, c.v)
-            | None ->
-                if Analysis.Varset.mem v s.s_extra then
-                  Hashtbl.replace staged_last v (ordinal, c.v))
+        | Scalar c -> stage_value staged v ordinal c.v
         | Array _ -> ())
       frame
   in
@@ -485,19 +510,7 @@ let run_shard s ?weights device ~owns =
     | Some st -> Eval.exec kctx st
     | None -> ()
   done;
-  (* Clean completion: publish the staged scalar results. *)
-  Hashtbl.iter
-    (fun v r ->
-      match Hashtbl.find_opt s.s_red v with
-      | Some dst -> dst := !r @ !dst
-      | None -> ())
-    staged_red;
-  Hashtbl.iter
-    (fun v (o, x) ->
-      match Hashtbl.find_opt s.s_last v with
-      | Some (o', _) when o' > o -> ()
-      | Some _ | None -> Hashtbl.replace s.s_last v (o, x))
-    staged_last;
+  publish s staged;
   !executed
 
 (** Commit the merged scalar results to the host environment, in the same

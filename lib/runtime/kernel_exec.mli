@@ -35,7 +35,13 @@ val run : Eval.ctx -> Gpusim.Device.t -> Codegen.Tprog.kernel -> result
     published only on clean completion (a dying device's in-flight
     contribution is discarded), and ordinal-tagged so reductions combine in
     exactly the single-device tree order regardless of the split or of
-    failover re-execution passes. *)
+    failover re-execution passes.
+
+    A session is engine-neutral: {!start} sizes the iteration space with
+    the tree walker under either engine, and {!commit} publishes the
+    merged results.  The shards themselves run on the launch's engine —
+    {!run_shard} here (the tree-walking oracle), or [Compile.run_shard],
+    which stages into the same session through {!stage}/{!publish}. *)
 
 (** Can this kernel be split? (parallel loop, not [seq], not straight-line) *)
 val shardable : Codegen.Tprog.kernel -> bool
@@ -57,6 +63,34 @@ val total_iterations : session -> int
 val run_shard :
   session -> ?weights:int array -> Gpusim.Device.t -> owns:(int -> bool) ->
   int
+
+(** {2 Hooks for other shard runners} *)
+
+(** The host context the session was started from (its environment holds
+    the kernel-entry bindings; results commit back into it). *)
+val host : session -> Eval.ctx
+
+val kernel : session -> Codegen.Tprog.kernel
+
+(** Kernel-entry values of the host scalars the kernel names, captured
+    by {!start} (arrays and names the kernel declares itself are absent).
+    Shard runners bind their base registers from it. *)
+val entry : session -> (string, Value.scalar) Hashtbl.t
+
+(** One shard's ordinal-tagged scalar results, held back until the shard
+    completes cleanly. *)
+type staged
+
+val stage : session -> staged
+
+(** [stage_value st v ordinal x]: thread [ordinal] finished with [v = x].
+    Reduction scalars collect one partial per ordinal; every other handled
+    scalar keeps its highest-ordinal value. *)
+val stage_value : staged -> string -> int -> Value.scalar -> unit
+
+(** Merge a completed shard's staged results into the session.  Never
+    called for a shard whose device faulted. *)
+val publish : session -> staged -> unit
 
 (** Commit merged scalar results to the host environment. *)
 val commit : session -> unit

@@ -115,7 +115,9 @@ let translate prog =
    those ids leak into the [dataNNN] site labels of every candidate parsed
    afterwards, so the engine choice is part of the canonical report's
    bytes.  The ladder's tree rung must stay tree in any case — it is the
-   independent half of the two-engine check. *)
+   independent half of the two-engine check.  Its compiled rung runs
+   compiled kernels at every device-set size, sharded launches included,
+   so the 2- and 4-device rungs compare two engines too. *)
 
 (* One instrumented, coherence-on, ledger-attached run: the scoring side
    of the search.  Conservation against the metrics accumulators is an

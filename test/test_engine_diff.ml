@@ -43,10 +43,12 @@ let check_outputs what env1 env2 outputs =
 
 (* The engine's own compile counters are the one intentional observable
    difference; everything else must agree exactly. *)
+let is_engine_counter (n, _) =
+  String.length n >= 7 && String.sub n 0 7 = "engine_"
+
 let counters tr =
   Obs.Trace.counters tr
-  |> List.filter (fun (n, _) ->
-         not (String.length n >= 7 && String.sub n 0 7 = "engine_"))
+  |> List.filter (fun c -> not (is_engine_counter c))
   |> List.sort compare
 
 let stats_tuple (s : Accrt.Resilience.stats) =
@@ -221,6 +223,127 @@ let devices1_case (b : Suite.Bench_def.t) =
   Alcotest.test_case (b.name ^ " --devices 1") `Quick (fun () ->
       diff_devices1 b)
 
+(* Sharded launches follow the engine too: at 2 and 4 devices, under both
+   schedules, the compiled shard runner must match the tree shard runner
+   on outputs (to the bit), [ops], trace counters (sans [engine_*]),
+   coherence reports, ledger entries and the per-ordinal imbalance
+   weights.  Ledger entries are compared without their enclosing span id:
+   the compiled engine's [compile-kernel] spans shift the span numbering,
+   and nothing else. *)
+let engine_counters tr = List.filter is_engine_counter (Obs.Trace.counters tr)
+
+(* Every name bound in the final host environment: sharded launches
+   commit private, raced and extra-induction scalars too, which the
+   benchmarks' designated outputs do not cover. *)
+let host_names (env : Accrt.Value.t) =
+  List.concat_map
+    (fun fr -> Hashtbl.fold (fun n _ acc -> n :: acc) fr [])
+    (env.Accrt.Value.globals :: env.Accrt.Value.frames)
+  |> List.sort_uniq compare
+
+let diff_sharded what_prog src =
+  let prog = Parser.parse_string ~file:what_prog src in
+  let tenv = Typecheck.check prog in
+  let ti = Codegen.Checkgen.instrument (Codegen.Translate.translate tenv prog) in
+  List.iter
+    (fun (devices, schedule) ->
+      let what =
+        Fmt.str "%s --devices %d --schedule %s" what_prog devices
+          (Gpusim.Device_set.schedule_name schedule)
+      in
+      let run engine =
+        let tr = Obs.Trace.create () in
+        let lg =
+          Obs.Ledger.create ~devices
+            ~schedule:(Gpusim.Device_set.schedule_name schedule)
+        in
+        let o =
+          Accrt.Interp.run ~coherence:true ~engine ~seed:42 ~devices ~schedule
+            ~obs:tr ~ledger:lg ti
+        in
+        (o, tr, lg)
+      in
+      let ot, trt, lgt = run tree in
+      let oc, trc, lgc = run compiled in
+      let et = ot.Accrt.Interp.ctx.Accrt.Eval.env in
+      let ec = oc.Accrt.Interp.ctx.Accrt.Eval.env in
+      Alcotest.(check (list string))
+        (what ^ ": host names identical")
+        (host_names et) (host_names ec);
+      check_outputs what et ec (host_names et);
+      Alcotest.(check int)
+        (what ^ ": interpreter ops identical")
+        ot.Accrt.Interp.ctx.Accrt.Eval.ops oc.Accrt.Interp.ctx.Accrt.Eval.ops;
+      Alcotest.(check bool)
+        (what ^ ": trace counters identical (sans engine_*)")
+        true
+        (counters trt = counters trc);
+      Alcotest.(check bool)
+        (what ^ ": coherence reports identical")
+        true
+        (Accrt.Interp.reports ot = Accrt.Interp.reports oc);
+      let entries lg =
+        List.map
+          (fun e -> { e with Obs.Ledger.e_span = 0 })
+          (Obs.Ledger.entries lg)
+      in
+      Alcotest.(check bool)
+        (what ^ ": ledger entries identical")
+        true
+        (entries lgt = entries lgc);
+      let launches (o : Accrt.Interp.outcome) =
+        Option.map Obs.Imbalance.launches o.Accrt.Interp.imbalance
+      in
+      Alcotest.(check bool)
+        (what ^ ": imbalance records (per-ordinal weights) identical")
+        true
+        (launches ot = launches oc);
+      (* Every kernel launch went through the compiled engine on the
+         compiled run — one cache lookup per whole launch, one per shard
+         of a sharded launch — and none did on the tree run. *)
+      let launched =
+        Option.value ~default:0
+          (List.assoc_opt "launches" (Obs.Trace.counters trc))
+      in
+      let sharded = Option.value ~default:[] (launches oc) in
+      Alcotest.(check int)
+        (what ^ ": every compiled launch and shard compiled or hit the cache")
+        (List.fold_left
+           (fun a l -> a + l.Obs.Imbalance.l_parts - 1)
+           launched sharded)
+        (List.fold_left (fun a (_, v) -> a + v) 0 (engine_counters trc));
+      Alcotest.(check int)
+        (what ^ ": tree run never touches the compiled engine")
+        0
+        (List.length (engine_counters trt)))
+    [ (2, Gpusim.Device_set.Block); (2, Gpusim.Device_set.Cyclic);
+      (4, Gpusim.Device_set.Block); (4, Gpusim.Device_set.Cyclic) ]
+
+let sharded_case (b : Suite.Bench_def.t) =
+  Alcotest.test_case (b.name ^ " --devices 2,4") `Quick (fun () ->
+      diff_sharded (b.name ^ "/unopt") b.source;
+      diff_sharded (b.name ^ "/opt") b.optimized)
+
+(* The suite's sharded kernels commit no extra-induction, auto-private
+   or raced scalar the host reads back; this one commits all three ([j],
+   [last], and the active race [flip]), next to a private and two
+   reductions, over an iteration space no device count divides. *)
+let committed_scalars_src =
+  "int main() { int n = 37; int m = 5; float a[n]; float sum = 0.0;\n\
+  \   float mx = 0.0; float t; int j; int last = 0; int flip = 3;\n\
+  \   for (int i = 0; i < n; i++) { a[i] = float(i) * 0.5; }\n\
+  \   #pragma acc data copy(a)\n\
+  \   {\n\
+  \   #pragma acc kernels loop private(t) reduction(+:sum) reduction(max:mx)\n\
+  \   for (int i = 0; i < n; i++) {\n\
+  \     t = 0.0;\n\
+  \     for (j = 0; j < m; j++) { t = t + a[i] * float(j); }\n\
+  \     a[i] = t; sum = sum + t; mx = max(mx, t); last = i;\n\
+  \     flip = i - flip;\n\
+  \   }\n\
+  \   }\n\
+  \   return 0; }"
+
 (* Verification verdicts — including injected faults — are engine-free. *)
 let test_verify_diff () =
   List.iter
@@ -286,8 +409,58 @@ let test_fault_diff () =
     [ Gpusim.Fault_plan.Xfer_fail; Gpusim.Fault_plan.Launch_fail;
       Gpusim.Fault_plan.Bit_flip; Gpusim.Fault_plan.Device_lost ]
 
+(* 4-device failover slice: a member lost at the first kernel's launch
+   gate has its shard re-executed on a survivor — on the run's engine —
+   and the recovery (validated on the tree walker under either engine)
+   must account identically. *)
+let test_failover_diff () =
+  List.iter
+    (fun name ->
+      let b = Option.get (Suite.Registry.find name) in
+      let prog = Parser.parse_string ~file:b.name b.source in
+      let tenv = Typecheck.check prog in
+      let tp = Codegen.Translate.translate tenv prog in
+      let target = tp.Codegen.Tprog.kernels.(0).Codegen.Tprog.k_name in
+      List.iter
+        (fun lost ->
+          let run engine =
+            let plan =
+              Gpusim.Fault_plan.create ~seed:7
+                [ Gpusim.Fault_plan.mk_rule ~target ~count:1 ~dev:lost
+                    Gpusim.Fault_plan.Device_lost ]
+            in
+            Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~devices:4
+              ~plan ~resilience:Accrt.Resilience.full tp
+          in
+          let ot = run tree in
+          let oc = run compiled in
+          let what = Fmt.str "%s, member %d lost at 4 devices" name lost in
+          check_outputs what ot.Accrt.Interp.ctx.Accrt.Eval.env
+            oc.Accrt.Interp.ctx.Accrt.Eval.env b.outputs;
+          Alcotest.(check int) (what ^ ": ops identical")
+            ot.Accrt.Interp.ctx.Accrt.Eval.ops
+            oc.Accrt.Interp.ctx.Accrt.Eval.ops;
+          let st = ot.Accrt.Interp.resilience in
+          Alcotest.(check bool) (what ^ ": a shard failed over") true
+            (st.Accrt.Resilience.failovers >= 1);
+          let full (s : Accrt.Resilience.stats) =
+            ( stats_tuple s,
+              (s.Accrt.Resilience.failovers, s.Accrt.Resilience.devices_lost),
+              Accrt.Resilience.log_entries s )
+          in
+          Alcotest.(check bool)
+            (what ^ ": recovery stats identical")
+            true
+            (full st = full oc.Accrt.Interp.resilience))
+        [ 1; 3 ])
+    [ "JACOBI"; "EP" ]
+
 let tests =
   List.map bench_case Suite.Registry.all
   @ List.map devices1_case Suite.Registry.all
+  @ List.map sharded_case Suite.Registry.all
+  @ [ Alcotest.test_case "committed scalars --devices 2,4" `Quick (fun () ->
+          diff_sharded "committed-scalars" committed_scalars_src) ]
   @ [ Alcotest.test_case "verification verdicts" `Quick test_verify_diff;
-      Alcotest.test_case "fault matrix" `Quick test_fault_diff ]
+      Alcotest.test_case "fault matrix" `Quick test_fault_diff;
+      Alcotest.test_case "4-device failover" `Quick test_failover_diff ]
