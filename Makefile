@@ -10,7 +10,7 @@ BENCHES = jacobi spmul ep cg backprop bfs cfd srad hotspot kmeans lud nw
 GOLDEN = profile symeq scale imbalance memtrace saturate faults
 GOLDEN_SMOKES = $(GOLDEN:%=%-smoke)
 
-.PHONY: all build test lint fault-matrix $(GOLDEN_SMOKES) regress-smoke wall-smoke check bench clean
+.PHONY: all build test lint fault-matrix $(GOLDEN_SMOKES) regress-smoke wall-smoke check bench parity clean
 
 all: build
 
@@ -61,6 +61,15 @@ check: build test lint fault-matrix $(GOLDEN_SMOKES) regress-smoke wall-smoke
 
 bench: build
 	$(DUNE) exec bench/main.exe
+
+# Parent-parity probe (not part of `check`): build PARITY_BASE from git
+# next to the working tree and byte-compare stdout, stderr, exit code and
+# written files of run/profile/memtrace/session on JACOBI/EP/CG at 1, 2
+# and 4 devices plus JACOBI fault runs under retry and full.
+PARITY_BASE ?= HEAD
+
+parity:
+	DUNE=$(DUNE) sh bench/parity.sh $(PARITY_BASE)
 
 clean:
 	$(DUNE) clean

@@ -3,8 +3,9 @@
     Each member device owns its memory space, streams, timeline, metrics and
     fault gates; the set splits [parallel loop] iteration spaces across the
     alive members block- or cyclic-wise (the JACC splitting strategies).
-    Device 0 is the {e primary}: its metrics object is the host clock, and a
-    one-device set behaves exactly like the standalone device it wraps.
+    Device 0 is the {e primary}: its metrics object is the host clock.  A
+    one-device set is how the runtime drives a single GPU: device 0 keeps
+    the run seed's RNG and fault streams, and one member never shards.
 
     Fault plans are partitioned by each rule's [#DEV] selector
     ({!Fault_plan.partition}); {!flush_events} folds every member's injected
@@ -44,10 +45,6 @@ let create ?cm ?(seed = 42) ?(trace = false) ?plan ?(schedule = Block) n =
   in
   { devices; schedule; base_plan = plan }
 
-(** Wrap an existing standalone device as a one-member set. *)
-let of_device ?(schedule = Block) dev =
-  { devices = [| dev |]; schedule; base_plan = Some dev.Device.plan }
-
 let size t = Array.length t.devices
 let primary t = t.devices.(0)
 let device t i = t.devices.(i)
@@ -71,13 +68,11 @@ let first_alive t =
   go 0
 
 (** Fold every member's injected fault events (time-ordered) and loss state
-    back into the base plan, so a partitioned multi-device run reports like
-    a single-device one.  Idempotent; a no-op for one-member sets, whose
-    base plan {e is} the device's plan. *)
+    back into the base plan, so reports and reproduction recipes read the
+    caller's plan whatever the set's size.  Idempotent. *)
 let flush_events t =
   match t.base_plan with
   | None -> ()
-  | Some base when Array.length t.devices <= 1 -> ignore base
   | Some base ->
       let evs =
         Array.fold_left

@@ -3,8 +3,7 @@
     Each member owns its memory space, streams, timeline, metrics and fault
     gates; the set splits [parallel loop] iteration spaces across alive
     members block- or cyclic-wise.  Device 0 is the {e primary}: its metrics
-    object is the host clock, and a one-member set behaves exactly like the
-    standalone device it wraps. *)
+    object is the host clock.  A single device is the one-member set. *)
 
 type schedule = Block | Cyclic
 
@@ -19,14 +18,12 @@ type t = {
 }
 
 (** Create [n] devices.  A fault [plan] is partitioned by [#DEV] selector
-    ({!Fault_plan.partition}); device 0 keeps the seed's own RNG stream so a
-    one-device set reproduces the standalone device exactly. *)
+    ({!Fault_plan.partition}) into per-member plans, so the caller's plan
+    only changes through {!flush_events}; device 0 keeps the seed's own RNG
+    stream, so [create 1] is the single device of the paper's runtime. *)
 val create :
   ?cm:Costmodel.t -> ?seed:int -> ?trace:bool -> ?plan:Fault_plan.t ->
   ?schedule:schedule -> int -> t
-
-(** Wrap an existing standalone device as a one-member set. *)
-val of_device : ?schedule:schedule -> Device.t -> t
 
 val size : t -> int
 val primary : t -> Device.t
@@ -40,8 +37,8 @@ val all_lost : t -> bool
 val first_alive : t -> Device.t option
 
 (** Fold every member's injected fault events (time-ordered) and loss state
-    back into the base plan, so multi-device runs report like single-device
-    ones.  Idempotent. *)
+    back into the base plan the set was created with, at every set size.
+    Idempotent. *)
 val flush_events : t -> unit
 
 (** Per-member accumulated [(compute, transfer)] seconds by ordinal

@@ -51,14 +51,13 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     ?(resilience = Resilience.none) ?(devices = 1) ?schedule ?obs ?ledger
     ?audit ?kcache (tp : Codegen.Tprog.t) =
   if devices < 1 then invalid_arg "Interp.run: devices must be >= 1";
-  (* A one-member run creates the standalone device exactly as it always
-     did and merely wraps it, so [devices = 1] takes the identical code
-     path (and RNG stream) as the pre-device-set runtime. *)
+  (* Every run drives a device set; a single device is the set of one
+     (device 0 keeps the run seed's RNG stream, and a one-member set never
+     shards).  [multi] only picks the shape of what a run reports: tagged
+     trace charges, the imbalance log, the gather ledger cause, per-member
+     transfer leaves and device-drop records. *)
   let devset =
-    if devices = 1 then
-      Gpusim.Device_set.of_device ?schedule
-        (Gpusim.Device.create ?cm ~seed ~trace ?plan ())
-    else Gpusim.Device_set.create ?cm ~seed ~trace ?plan ?schedule devices
+    Gpusim.Device_set.create ?cm ~seed ~trace ?plan ?schedule devices
   in
   let device = Gpusim.Device_set.primary devset in
   let multi = Gpusim.Device_set.size devset > 1 in
@@ -74,44 +73,29 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   in
   (* Observability: spans are stamped by the simulated host clock; every
      metrics charge becomes a trace event (the conservation invariant);
-     device-timeline events become [Device] leaf spans.  A one-member run
-     keeps the exact pre-device-set wiring — untagged charges on the
-     primary — so its trace is byte-identical to the standalone runtime; a
-     multi-member run observes {e every} member, tagging each charge and
-     timeline leaf with the owning ordinal. *)
+     device-timeline events become [Device] leaf spans.  Every member is
+     observed; a multi-member run tags each charge and timeline leaf with
+     the owning ordinal, a one-member run leaves them untagged (the single
+     device's trace shape). *)
   (match obs with
   | None -> ()
   | Some tr ->
       Obs.Trace.set_clock tr (fun () -> metrics.Gpusim.Metrics.host_clock);
-      if not multi then begin
-        Gpusim.Metrics.set_on_charge metrics (fun cat dt ->
-            Obs.Trace.charge tr
-              ~category:(Gpusim.Metrics.category_name cat)
-              dt);
-        Gpusim.Timeline.set_on_event device.Gpusim.Device.timeline (fun e ->
-            Obs.Trace.leaf tr Obs.Trace.Device
-              (Gpusim.Timeline.kind_name e.Gpusim.Timeline.ev_kind)
-              ~attrs:[ ("label", e.Gpusim.Timeline.ev_label) ]
-              ~start:e.Gpusim.Timeline.ev_start
-              ~duration:e.Gpusim.Timeline.ev_duration ())
-      end
-      else
-        Array.iter
-          (fun d ->
-            let ord = d.Gpusim.Device.id in
-            Gpusim.Metrics.set_on_charge d.Gpusim.Device.metrics
-              (fun cat dt ->
-                Obs.Trace.charge tr ~dev:ord
-                  ~category:(Gpusim.Metrics.category_name cat)
-                  dt);
-            Gpusim.Timeline.set_on_event d.Gpusim.Device.timeline (fun e ->
-                Obs.Trace.leaf tr Obs.Trace.Device
-                  (Gpusim.Timeline.kind_name e.Gpusim.Timeline.ev_kind)
-                  ~dev:ord
-                  ~attrs:[ ("label", e.Gpusim.Timeline.ev_label) ]
-                  ~start:e.Gpusim.Timeline.ev_start
-                  ~duration:e.Gpusim.Timeline.ev_duration ()))
-          devset.Gpusim.Device_set.devices);
+      Array.iter
+        (fun d ->
+          let dev = if multi then Some d.Gpusim.Device.id else None in
+          Gpusim.Metrics.set_on_charge d.Gpusim.Device.metrics (fun cat dt ->
+              Obs.Trace.charge tr ?dev
+                ~category:(Gpusim.Metrics.category_name cat)
+                dt);
+          Gpusim.Timeline.set_on_event d.Gpusim.Device.timeline (fun e ->
+              Obs.Trace.leaf tr Obs.Trace.Device
+                (Gpusim.Timeline.kind_name e.Gpusim.Timeline.ev_kind)
+                ?dev
+                ~attrs:[ ("label", e.Gpusim.Timeline.ev_label) ]
+                ~start:e.Gpusim.Timeline.ev_start
+                ~duration:e.Gpusim.Timeline.ev_duration ()))
+        devset.Gpusim.Device_set.devices);
   (* Shard-level cost attribution: every sharded launch's measured
      iteration weights and charged durations, for the schedule analyzer.
      A one-member run has nothing to attribute. *)
@@ -174,8 +158,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
               ~allocated:m.Gpusim.Device.m_allocated
               ~time:m.Gpusim.Device.m_time)
       in
-      if multi then Array.iter install devset.Gpusim.Device_set.devices
-      else install device);
+      Array.iter install devset.Gpusim.Device_set.devices);
   (* Record a peer/mirror blit the DMA hooks cannot see: modeled
      overlapped movement, ledgered uncounted so conservation still holds. *)
   let note_blit ~array ~dir ~cause ~bytes ~dev ~site ~loc =
@@ -299,20 +282,19 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           (Gpusim.Costmodel.cpu_time cmodel ~ops:(Gpusim.Buf.length m))
     | _ -> ()
   in
-  (* The device dropped off the bus: recover the data only it held from
-     the resilience mirrors, then continue in host mode. *)
-  let enter_host_mode fault =
-    host_mode := true;
-    stats.Resilience.device_lost <- true;
-    Hashtbl.iter (fun v () -> restore_mirror v) device_fresh;
-    Hashtbl.reset device_fresh;
-    record ~fault ~action:"host-mode" ~ok:true
-  in
+  (* Every device dropped off the bus: recover the data only the devices
+     held from the resilience mirrors, then continue in host mode. *)
   let on_lost fault =
-    if policy.Resilience.cpu_fallback then enter_host_mode fault
+    if policy.Resilience.cpu_fallback then begin
+      host_mode := true;
+      stats.Resilience.device_lost <- true;
+      Hashtbl.iter (fun v () -> restore_mirror v) device_fresh;
+      Hashtbl.reset device_fresh;
+      record ~fault ~action:"host-mode" ~ok:true
+    end
     else unrecovered fault
   in
-  (* ------------------- device-set (multi-device) state ------------------ *)
+  (* --------------------------- device-set state -------------------------- *)
   (* Member devices currently holding the freshest copy of each root, in
      device order (functional tracking, independent of the coherence
      runtime so it works with verification disabled). *)
@@ -327,11 +309,14 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
       (Gpusim.Device_set.alive_ids devset)
   in
   (* One member dropped off the bus: its copies are gone; survivors carry
-     on.  Losing the last member degrades the whole run ({!on_lost}). *)
+     on.  Losing the last member degrades the whole run ({!on_lost}); in a
+     one-member set that is all a loss does (host mode, no device-drop). *)
   let on_member_lost d fault =
-    stats.Resilience.devices_lost <- stats.Resilience.devices_lost + 1;
-    record ~fault ~action:"device-drop" ~ok:true;
-    Coherence.on_device_lost coh d;
+    if multi then begin
+      stats.Resilience.devices_lost <- stats.Resilience.devices_lost + 1;
+      record ~fault ~action:"device-drop" ~ok:true;
+      Coherence.on_device_lost coh d
+    end;
     Hashtbl.filter_map_inplace
       (fun _ ids ->
         match List.filter (fun x -> x <> d) ids with
@@ -348,7 +333,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     List.iter
       (fun dev ->
         if Gpusim.Device.is_allocated dev v then Gpusim.Device.free dev v)
-      (if multi then alive_members () else [ device ]);
+      (alive_members ());
     Hashtbl.remove fresh_on v;
     Hashtbl.replace host_only v ()
   in
@@ -376,8 +361,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
 
   (* ----------------------- resilient transfers ---------------------- *)
   let checksum_range ~range buf = Gpusim.Buf.checksum ?range buf in
-  let do_transfer ?(dev = device) ?(on_dev_lost = on_lost) x ~host ~range
-      ~async =
+  let do_transfer dev x ~host ~range ~async =
     let var = x.x_var in
     let label = x.x_site.site_label in
     let op = match x.x_dir with H2D -> "upload" | D2H -> "download" in
@@ -433,7 +417,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           (* Host mode makes the host copy authoritative, so the transfer
              itself needs no replay; a member loss is replayed by the
              caller on a surviving member. *)
-          on_dev_lost fault
+          on_member_lost dev.Gpusim.Device.id fault
       | exception Gpusim.Device.Device_fault fault
         when Gpusim.Fault_plan.transient fault.Gpusim.Device.f_kind
              && policy.Resilience.max_retries > 0 ->
@@ -462,8 +446,8 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   in
   (* Fall back for one kernel: restore its host inputs from the
      pre-launch checkpoint of the device buffers, run the sequential
-     region, then push the written arrays back to the (still alive)
-     device so later device kernels see the results. *)
+     region, then push the written arrays back to the alive members so
+     later device kernels see the results. *)
   let cpu_fallback_exec k ~ckpt ~scalars =
     List.iter (fun (c, v0) -> c.Value.v <- v0) scalars;
     List.iter
@@ -481,11 +465,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         | _ -> ())
       ckpt;
     cpu_exec k;
-    if
-      (not !host_mode)
-      &&
-      if multi then Gpusim.Device_set.first_alive devset <> None
-      else Gpusim.Device.alive device
+    if (not !host_mode) && Gpusim.Device_set.first_alive devset <> None
     then begin
       lcause := Obs.Ledger.Failover;
       lsite := (k.k_name ^ ".recover", Minic.Loc.to_string k.k_loc);
@@ -506,9 +486,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
                   | Gpusim.Device.Device_fault fault
                     when fault.Gpusim.Device.f_kind
                          = Gpusim.Fault_plan.Device_lost ->
-                      if multi then
-                        on_member_lost dev.Gpusim.Device.id fault
-                      else on_lost fault
+                      on_member_lost dev.Gpusim.Device.id fault
                   | Gpusim.Device.Device_fault fault
                     when Gpusim.Fault_plan.transient
                            fault.Gpusim.Device.f_kind ->
@@ -523,8 +501,8 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
                 push 0;
                 Hashtbl.remove device_fresh v
               end)
-            (if multi then alive_members () else [ device ]);
-          if multi && not (Hashtbl.mem host_only v) then
+            (alive_members ());
+          if not (Hashtbl.mem host_only v) then
             Hashtbl.replace fresh_on v (Gpusim.Device_set.alive_ids devset))
         (kernel_arrays k)
     end
@@ -609,136 +587,8 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     let lv = match k.k_loop with Some l -> [ l.kl_var ] | None -> [] in
     List.sort_uniq compare (base @ ind @ lv)
   in
-  let launch_device k async =
-    let arrays = Analysis.Varset.elements (kernel_arrays k) in
-    let checkpointing =
-      policy.Resilience.reexec || policy.Resilience.cpu_fallback
-    in
-    (* Checkpoint: pre-launch device buffers (the kernel's inputs, exactly
-       the data the §III-A demotion snapshot would upload) plus the
-       scalar cells the kernel will commit. *)
-    let ckpt =
-      if checkpointing then
-        List.filter_map
-          (fun v ->
-            if Gpusim.Device.is_allocated device v then begin
-              let b = Gpusim.Device.buffer device v in
-              charge_recovery
-                (Gpusim.Costmodel.compare_time cmodel
-                   ~elems:(Gpusim.Buf.length b));
-              Some (v, Gpusim.Buf.copy b)
-            end
-            else None)
-          arrays
-      else []
-    in
-    let scalars =
-      if checkpointing then
-        List.filter_map
-          (fun name ->
-            match Value.lookup env name with
-            | Some (Value.Scalar c) -> Some (c, c.Value.v)
-            | _ -> None)
-          (committed_names k)
-      else []
-    in
-    let scalar_values =
-      List.filter_map
-        (fun name ->
-          match Value.lookup env name with
-          | Some (Value.Scalar c) -> Some (name, c.Value.v)
-          | _ -> None)
-        (committed_names k)
-    in
-    let restore_ckpt () =
-      List.iter
-        (fun (v, b) ->
-          if Gpusim.Device.is_allocated device v then
-            Gpusim.Buf.blit ~src:b ~dst:(Gpusim.Device.buffer device v))
-        ckpt;
-      List.iter (fun (c, v0) -> c.Value.v <- v0) scalars
-    in
-    let written = Analysis.Varset.elements k.k_arrays_written in
-    let fall_back fault =
-      record ~fault ~action:"cpu-fallback" ~ok:true;
-      restore_ckpt ();
-      cpu_fallback_exec k ~ckpt ~scalars
-    in
-    let rec attempt n =
-      match
-        Gpusim.Device.begin_launch device ~label:k.k_name;
-        let r = exec_kernel device k in
-        let width =
-          let g, w, v = k.k_dims in
-          match List.filter_map (Option.map eval_int) [ g; w; v ] with
-          | [] -> None
-          | dims -> Some (List.fold_left ( * ) 1 dims)
-        in
-        Gpusim.Device.launch device ~iterations:r.Kernel_exec.iterations
-          ~ops_per_iter:k.k_ops_per_iter ?width ?async ~label:k.k_name ();
-        Gpusim.Device.scrub device written
-      with
-      | [] ->
-          (* Clean execution.  A recovery (n > 0) must additionally pass
-             the sequential-reference comparison before it counts. *)
-          if n > 0 && policy.Resilience.validate then begin
-            if validate_recovery device k ~ckpt ~scalar_values then
-              stats.Resilience.verified <- stats.Resilience.verified + 1
-            else begin
-              let fault =
-                { Gpusim.Device.f_kind = Gpusim.Fault_plan.Launch_fail;
-                  f_target = k.k_name; f_op = "recovery-validation" }
-              in
-              record ~fault ~action:"re-execute" ~ok:false;
-              escalate n fault
-            end
-          end;
-          refresh_mirrors device k.k_arrays_written
-      | detected :: _ ->
-          (* ECC caught a bit flip in a written buffer: the results are
-             poisoned, so recover exactly like a failed launch. *)
-          recover n detected
-      | exception Gpusim.Device.Device_fault fault -> recover n fault
-    and recover n fault =
-      match fault.Gpusim.Device.f_kind with
-      | Gpusim.Fault_plan.Device_lost
-        when policy.Resilience.cpu_fallback ->
-          enter_host_mode fault;
-          (* Device state is gone; the checkpoint still has the kernel's
-             inputs, so the sequential region replays it on the host. *)
-          cpu_fallback_exec k ~ckpt ~scalars
-      | Gpusim.Fault_plan.Device_lost
-        when policy.Resilience.max_retries > 0 ->
-          unrecovered fault
-      | k' when Gpusim.Fault_plan.transient k' && policy.Resilience.reexec
-        ->
-          if n < policy.Resilience.max_retries then begin
-            stats.Resilience.reexecs <- stats.Resilience.reexecs + 1;
-            record ~fault ~action:"re-execute" ~ok:true;
-            restore_ckpt ();
-            charge_recovery (backoff_delay n);
-            attempt (n + 1)
-          end
-          else escalate n fault
-      | k'
-        when Gpusim.Fault_plan.transient k'
-             && policy.Resilience.cpu_fallback ->
-          fall_back fault
-      | k'
-        when Gpusim.Fault_plan.transient k'
-             && policy.Resilience.max_retries > 0 ->
-          unrecovered fault
-      | _ -> raise (Gpusim.Device.Device_fault fault)
-    and escalate _n fault =
-      if policy.Resilience.cpu_fallback then fall_back fault
-      else unrecovered fault
-    in
-    attempt 0
-  in
-
-  (* ------------------ multi-device (device-set) launches ----------------- *)
-  (* Escalation out of a failed multi-device launch: degrade the whole
-     kernel to the sequential region (or propagate, per policy). *)
+  (* Escalation out of a failed launch: degrade the whole kernel to the
+     sequential region (or propagate, per policy). *)
   let exception Degrade of Gpusim.Device.fault_info in
   let kernel_width k =
     let g, w, v = k.k_dims in
@@ -787,10 +637,11 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
                   Coherence.note_gpu_fresh coh v ~devs:refreshed))
       (kernel_arrays k)
   in
-  (* Snapshot the kernel's device inputs from a fresh member.  Always taken
-     in multi mode: besides checkpointed recovery it is the merge reference
-     that separates each shard's writes.  The §III-A-style checkpoint cost
-     is charged only when the policy actually checkpoints. *)
+  (* Snapshot the kernel's device inputs from a fresh member: the
+     checkpoint recoveries restore (exactly the data the §III-A demotion
+     snapshot would upload), and the merge reference that separates each
+     shard's writes.  The checkpoint cost is charged only when the policy
+     actually checkpoints. *)
   let snapshot_inputs k ~charge =
     match Gpusim.Device_set.first_alive devset with
     | None -> []
@@ -808,8 +659,9 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
             else None)
           (Analysis.Varset.elements (kernel_arrays k))
   in
-  (* Execute an unsharded kernel (seq, straight-line, or lone survivor) on
-     one member, failing over to the next alive member on device loss. *)
+  (* Execute an unsharded kernel (seq, straight-line, lone survivor, or any
+     kernel of a one-member set) on one member, failing over to the next
+     alive member on device loss. *)
   let launch_one_member dev0 k async ~ckpt ~scalars ~scalar_values =
     let written = Analysis.Varset.elements k.k_arrays_written in
     let width = kernel_width k in
@@ -1142,9 +994,13 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     | Some dev -> refresh_mirrors dev k.k_arrays_written
     | None -> ()
   in
-  let launch_multi k async =
+  let launch_resilient k async =
     let arrays = Analysis.Varset.elements (kernel_arrays k) in
-    if List.exists (Hashtbl.mem host_only) arrays then begin
+    if !host_mode then cpu_exec k
+    else if List.exists (Hashtbl.mem host_only) arrays then begin
+      (* Some of the kernel's data could not be kept on the device: run the
+         whole region on the host, bridging from/to the arrays that do live
+         on the device. *)
       let ckpt = snapshot_inputs k ~charge:false in
       cpu_fallback_exec k ~ckpt ~scalars:[]
     end
@@ -1153,7 +1009,17 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
       let checkpointing =
         policy.Resilience.reexec || policy.Resilience.cpu_fallback
       in
-      let ckpt = snapshot_inputs k ~charge:checkpointing in
+      let members = alive_members () in
+      let sharded =
+        match members with
+        | _ :: _ :: _ -> Kernel_exec.shardable k
+        | _ -> false
+      in
+      let ckpt =
+        if checkpointing || sharded then
+          snapshot_inputs k ~charge:checkpointing
+        else []
+      in
       let scalars =
         if checkpointing then
           List.filter_map
@@ -1173,10 +1039,9 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           (committed_names k)
       in
       try
-        match alive_members () with
+        match members with
         | [] -> cpu_exec k
-        | _ :: _ :: _ when Kernel_exec.shardable k ->
-            launch_sharded k async ~ckpt ~scalar_values
+        | _ when sharded -> launch_sharded k async ~ckpt ~scalar_values
         | dev :: _ ->
             launch_one_member dev k async ~ckpt ~scalars ~scalar_values
       with Degrade fault ->
@@ -1185,28 +1050,6 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           cpu_fallback_exec k ~ckpt ~scalars
         end
         else unrecovered fault
-    end
-  in
-  let launch_resilient k async =
-    if !host_mode then cpu_exec k
-    else if multi then launch_multi k async
-    else begin
-      let arrays = Analysis.Varset.elements (kernel_arrays k) in
-      if List.exists (Hashtbl.mem host_only) arrays then begin
-        (* Some of the kernel's data could not be kept on the device:
-           run the whole region on the host, bridging from/to the arrays
-           that do live on the device. *)
-        let ckpt =
-          List.filter_map
-            (fun v ->
-              if Gpusim.Device.is_allocated device v then
-                Some (v, Gpusim.Buf.copy (Gpusim.Device.buffer device v))
-              else None)
-            arrays
-        in
-        cpu_fallback_exec k ~ckpt ~scalars:[]
-      end
-      else launch_device k async
     end
   in
 
@@ -1269,17 +1112,14 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
              with Eval.Break_exc -> ());
             Coherence.exit_loop coh)
     | Talloc (v, site) ->
-        (* present-or-create: keep an existing buffer resident.  A device
-           set broadcasts the allocation to every alive member. *)
+        (* present-or-create: keep an existing buffer resident.  The
+           allocation is broadcast to every alive member. *)
         let need_alloc =
           (not !host_mode)
           && (not (Hashtbl.mem host_only v))
-          &&
-          if multi then
-            List.exists
-              (fun dev -> not (Gpusim.Device.is_allocated dev v))
-              (alive_members ())
-          else not (Gpusim.Device.is_allocated device v)
+          && List.exists
+               (fun dev -> not (Gpusim.Device.is_allocated dev v))
+               (alive_members ())
         in
         if need_alloc then begin
           charge_host ();
@@ -1296,8 +1136,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
                      = Gpusim.Fault_plan.Device_lost
                      && (policy.Resilience.cpu_fallback
                         || policy.Resilience.max_retries > 0) ->
-                  if multi then on_member_lost dev.Gpusim.Device.id fault
-                  else on_lost fault
+                  on_member_lost dev.Gpusim.Device.id fault
               | Gpusim.Device.Device_fault fault
                 when fault.Gpusim.Device.f_kind = Gpusim.Fault_plan.Oom
                      && policy.Resilience.max_retries > 0 ->
@@ -1318,17 +1157,15 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
             in
             attempt 0
           in
-          if multi then
-            List.iter
-              (fun dev ->
-                if
-                  (not !host_mode)
-                  && (not (Hashtbl.mem host_only v))
-                  && Gpusim.Device.alive dev
-                  && not (Gpusim.Device.is_allocated dev v)
-                then alloc_on dev)
-              (alive_members ())
-          else alloc_on device
+          List.iter
+            (fun dev ->
+              if
+                (not !host_mode)
+                && (not (Hashtbl.mem host_only v))
+                && Gpusim.Device.alive dev
+                && not (Gpusim.Device.is_allocated dev v)
+              then alloc_on dev)
+            (alive_members ())
         end
     | Tfree (v, site) ->
         charge_host ();
@@ -1336,14 +1173,11 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           ~loc:(Minic.Loc.to_string site.site_loc)
           ~directive:site.site_label
         @@ fun () ->
-        (if multi then
-           List.iter
-             (fun dev ->
-               if Gpusim.Device.is_allocated dev v then
-                 Gpusim.Device.free dev v)
-             (if !host_mode then [] else alive_members ())
-         else if (not !host_mode) && Gpusim.Device.is_allocated device v
-         then Gpusim.Device.free device v);
+        if not !host_mode then
+          List.iter
+            (fun dev ->
+              if Gpusim.Device.is_allocated dev v then Gpusim.Device.free dev v)
+            (alive_members ());
         Hashtbl.remove host_only v;
         Hashtbl.remove device_fresh v;
         Hashtbl.remove mirrors v;
@@ -1389,19 +1223,13 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
                else
                  match x.x_dir with
                  | H2D ->
-                     if multi then begin
-                       let fresh =
-                         List.filter
-                           (fun d ->
-                             Coherence.gpu_status coh x.x_var d = Not_stale)
-                           (Gpusim.Device_set.alive_ids devset)
-                       in
-                       fun d -> List.mem d fresh
-                     end
-                     else begin
-                       let r = Coherence.get coh x.x_var Gpu = Not_stale in
-                       fun _ -> r
-                     end
+                     let fresh =
+                       List.filter
+                         (fun d ->
+                           Coherence.gpu_status coh x.x_var d = Not_stale)
+                         (Gpusim.Device_set.alive_ids devset)
+                     in
+                     fun d -> List.mem d fresh
                  | D2H ->
                      let r = Coherence.get coh x.x_var Cpu = Not_stale in
                      fun _ -> r);
@@ -1418,109 +1246,113 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           Coherence.on_transfer ?range coh x.x_var x.x_dir ~site:x.x_site
         end;
         if (not !host_mode) && not (Hashtbl.mem host_only x.x_var) then begin
+          (* An update of data no member holds is a program error at every
+             device count, reported at the transfer site. *)
+          if
+            not
+              (List.exists
+                 (fun dev -> Gpusim.Device.is_allocated dev x.x_var)
+                 (alive_members ()))
+          then
+            Value.error "%s: '%s' is not present on the device (%s)"
+              (Minic.Loc.to_string x.x_site.site_loc)
+              x.x_var x.x_site.site_label;
           let h2d0 = metrics.Gpusim.Metrics.bytes_h2d
           and d2h0 = metrics.Gpusim.Metrics.bytes_d2h in
-          (* Per-member child spans: in multi mode each member's share of a
-             broadcast/gather is a [Transfer] leaf on its own lane, timed
-             by that member's accumulator. *)
+          (* Per-member child spans: in a multi-member set each member's
+             share of a broadcast/gather is a [Transfer] leaf on its own
+             lane, timed by that member's accumulator. *)
           let member_xfer dev =
             let m = dev.Gpusim.Device.metrics in
             let t0 = m.Gpusim.Metrics.host_clock in
-            do_transfer ~dev
-              ~on_dev_lost:(fun fault ->
-                on_member_lost dev.Gpusim.Device.id fault)
-              x ~host ~range ~async;
+            do_transfer dev x ~host ~range ~async;
             match obs with
-            | None -> ()
-            | Some tr ->
+            | Some tr when multi ->
                 Obs.Trace.leaf tr Obs.Trace.Transfer x.x_site.site_label
                   ~loc:(Minic.Loc.to_string x.x_site.site_loc)
                   ~directive:x.x_site.site_label ~dev:dev.Gpusim.Device.id
                   ~start:t0
                   ~duration:(m.Gpusim.Metrics.host_clock -. t0) ()
+            | Some _ | None -> ()
           in
-          (if not multi then do_transfer x ~host ~range ~async
-           else
-             match x.x_dir with
-             | H2D ->
-                 (* Broadcast: every alive member refreshes its copy; each
-                    charges its own DMA engine, so the wall-clock cost is
-                    the primary's transfer (parallel broadcast). *)
-                 List.iter
-                   (fun dev ->
-                     if
-                       (not !host_mode)
-                       && (not (Hashtbl.mem host_only x.x_var))
-                       && Gpusim.Device.alive dev
-                       && Gpusim.Device.is_allocated dev x.x_var
-                     then member_xfer dev)
-                   (alive_members ());
-                 if
-                   (not !host_mode)
-                   && not (Hashtbl.mem host_only x.x_var)
-                 then
-                   Hashtbl.replace fresh_on x.x_var
-                     (Gpusim.Device_set.alive_ids devset)
-             | D2H ->
-                 (* Download from a member holding a fresh copy, rotating
-                    across the fresh set (every fresh copy is bit-identical
-                    by construction, so the gather is charged to rotating
-                    DMA engines); a member dying mid-download is replayed
-                    on the next candidate. *)
-                 let rec pull () =
-                   let candidates =
-                     match Hashtbl.find_opt fresh_on x.x_var with
-                     | Some (_ :: _ as ids) ->
-                         List.filter_map
-                           (fun d ->
-                             let dev = Gpusim.Device_set.device devset d in
-                             if
-                               Gpusim.Device.alive dev
-                               && Gpusim.Device.is_allocated dev x.x_var
-                             then Some dev
-                             else None)
-                           ids
-                     | Some [] | None -> (
-                         match Gpusim.Device_set.first_alive devset with
-                         | Some dev -> [ dev ]
-                         | None -> [])
-                   in
-                   match candidates with
-                   | [] -> ()
-                   | _ :: _ ->
-                       let dev =
-                         List.nth candidates
-                           (!gather_rr mod List.length candidates)
-                       in
-                       incr gather_rr;
-                       if Gpusim.Device.is_allocated dev x.x_var then begin
-                         member_xfer dev;
-                         (match ilog with
-                         | None -> ()
-                         | Some il ->
-                             let elems =
-                               match range with
-                               | Some (_, len) -> len
-                               | None -> Gpusim.Buf.length host
-                             in
-                             let per_elem =
-                               Gpusim.Buf.bytes host
-                               / max 1 (Gpusim.Buf.length host)
-                             in
-                             let bytes = elems * per_elem in
-                             Obs.Imbalance.note_gather il ~bytes
-                               ~time:
-                                 (cmodel.Gpusim.Costmodel.pcie_latency
-                                 +. float_of_int bytes
-                                    /. cmodel.Gpusim.Costmodel.pcie_bandwidth));
-                         if
-                           (not (Gpusim.Device.alive dev))
-                           && (not !host_mode)
-                           && not (Hashtbl.mem host_only x.x_var)
-                         then pull ()
-                       end
-                 in
-                 pull ());
+          (match x.x_dir with
+          | H2D ->
+              (* Broadcast: every alive member refreshes its copy; each
+                 charges its own DMA engine, so the wall-clock cost is the
+                 primary's transfer (parallel broadcast). *)
+              List.iter
+                (fun dev ->
+                  if
+                    (not !host_mode)
+                    && (not (Hashtbl.mem host_only x.x_var))
+                    && Gpusim.Device.alive dev
+                    && Gpusim.Device.is_allocated dev x.x_var
+                  then member_xfer dev)
+                (alive_members ());
+              if (not !host_mode) && not (Hashtbl.mem host_only x.x_var)
+              then
+                Hashtbl.replace fresh_on x.x_var
+                  (Gpusim.Device_set.alive_ids devset)
+          | D2H ->
+              (* Download from a member holding a fresh copy, rotating
+                 across the fresh set (every fresh copy is bit-identical by
+                 construction, so the gather is charged to rotating DMA
+                 engines); a member dying mid-download is replayed on the
+                 next candidate. *)
+              let rec pull () =
+                let candidates =
+                  match Hashtbl.find_opt fresh_on x.x_var with
+                  | Some (_ :: _ as ids) ->
+                      List.filter_map
+                        (fun d ->
+                          let dev = Gpusim.Device_set.device devset d in
+                          if
+                            Gpusim.Device.alive dev
+                            && Gpusim.Device.is_allocated dev x.x_var
+                          then Some dev
+                          else None)
+                        ids
+                  | Some [] | None -> (
+                      match Gpusim.Device_set.first_alive devset with
+                      | Some dev -> [ dev ]
+                      | None -> [])
+                in
+                match candidates with
+                | [] -> ()
+                | _ :: _ ->
+                    let dev =
+                      List.nth candidates
+                        (!gather_rr mod List.length candidates)
+                    in
+                    incr gather_rr;
+                    if Gpusim.Device.is_allocated dev x.x_var then begin
+                      member_xfer dev;
+                      (match ilog with
+                      | None -> ()
+                      | Some il ->
+                          let elems =
+                            match range with
+                            | Some (_, len) -> len
+                            | None -> Gpusim.Buf.length host
+                          in
+                          let per_elem =
+                            Gpusim.Buf.bytes host
+                            / max 1 (Gpusim.Buf.length host)
+                          in
+                          let bytes = elems * per_elem in
+                          Obs.Imbalance.note_gather il ~bytes
+                            ~time:
+                              (cmodel.Gpusim.Costmodel.pcie_latency
+                              +. float_of_int bytes
+                                 /. cmodel.Gpusim.Costmodel.pcie_bandwidth));
+                      if
+                        (not (Gpusim.Device.alive dev))
+                        && (not !host_mode)
+                        && not (Hashtbl.mem host_only x.x_var)
+                      then pull ()
+                    end
+              in
+              pull ());
           (* The transfer satisfied whatever host access preceded it:
              reset the hoistability trackers for this array. *)
           (match x.x_dir with
@@ -1554,11 +1386,9 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         let q = eval_async e in
         charge_host ();
         in_span Obs.Trace.Wait "wait" @@ fun () ->
-        if multi then
-          Array.iter
-            (fun dev -> Gpusim.Device.wait dev q)
-            devset.Gpusim.Device_set.devices
-        else Gpusim.Device.wait device q
+        Array.iter
+          (fun dev -> Gpusim.Device.wait dev q)
+          devset.Gpusim.Device_set.devices
     | Tcheck c ->
         if coherence then begin
           charge_host ();
@@ -1604,16 +1434,11 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
       charge_host ();
       (* Drain outstanding async work and release device memory (both are
          no-ops on a lost device). *)
-      if multi then
-        Array.iter
-          (fun dev ->
-            Gpusim.Device.wait dev None;
-            Gpusim.Device.free_all dev)
-          devset.Gpusim.Device_set.devices
-      else begin
-        Gpusim.Device.wait device None;
-        Gpusim.Device.free_all device
-      end);
+      Array.iter
+        (fun dev ->
+          Gpusim.Device.wait dev None;
+          Gpusim.Device.free_all dev)
+        devset.Gpusim.Device_set.devices);
   { ctx; device; devset; coherence = coh; tprog = tp; site_execs; sites;
     resilience = stats; imbalance = ilog }
 

@@ -50,14 +50,20 @@ exception Stop
     policy (default {!Resilience.none}: faults propagate as
     {!Gpusim.Device.Device_fault}).
 
-    [devices] sizes the simulated device set (default 1: the standalone
-    device, on the exact pre-device-set code path); [schedule] picks how
-    [parallel loop] iteration spaces split across members (default
-    {!Gpusim.Device_set.Block}).  With [devices > 1] the runtime broadcasts
-    allocations and uploads, shards parallel kernels across alive members,
-    lazily peer-syncs kernel inputs, and — under a recovering policy —
-    fails a dying member's shards over to survivors, validating every
-    recovery against the sequential reference.
+    [devices] sizes the simulated device set (default 1: the single
+    device, as the one-member set); [schedule] picks how [parallel loop]
+    iteration spaces split across members (default
+    {!Gpusim.Device_set.Block}).  Every run takes the device-set path:
+    allocations and uploads broadcast to the alive members, parallel
+    kernels shard across them when two or more are alive, kernel inputs
+    are lazily peer-synced, and — under a recovering policy — a dying
+    member's work fails over to survivors, every recovery validated
+    against the sequential reference.  [devices > 1] only changes the
+    shape of what is observed: ordinal-tagged trace charges, the
+    [imbalance] log, [Gather] ledger causes, per-member transfer leaves
+    and device-drop records; losing a one-member set's device is host
+    mode and nothing else.  An update of data that no alive member holds
+    raises {!Value.Runtime_error} naming the transfer site.
 
     [obs], when given, receives the run as a span tree stamped by the
     simulated clock — a "run" phase span with one child span per kernel

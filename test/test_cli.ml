@@ -483,6 +483,83 @@ let test_device_faults () =
     Alcotest.(check bool) "json: seed" true (contains ~needle:"\"seed\": 42" j)
   end
 
+(* Losing the only device of a one-member set is host mode and nothing
+   else: no member-drop accounting, no failover line. *)
+let test_one_device_loss () =
+  if available then begin
+    let json = Filename.temp_file "openarc_faults" ".json" in
+    let code, out =
+      run_cmd
+        (Fmt.str
+           "run bench:jacobi --devices 1 --device-faults \
+            device-lost:main_kernel0 --resilience full --faults-json %s"
+           (Filename.quote json))
+    in
+    let j = read_file json in
+    Sys.remove json;
+    Alcotest.(check int) "full: exit 0" 0 code;
+    Alcotest.(check bool) "full: host mode" true
+      (contains ~needle:"-> host-mode (ok)" out);
+    Alcotest.(check bool) "full: no failover line" false
+      (contains ~needle:"failover:" out);
+    Alcotest.(check bool) "full: no device-drop record" false
+      (contains ~needle:"device-drop" out || contains ~needle:"device-drop" j);
+    Alcotest.(check bool) "full: devices_lost = 0" true
+      (contains ~needle:"\"devices_lost\": 0," j);
+    Alcotest.(check bool) "full: device_lost latched" true
+      (contains ~needle:"\"device_lost\": true" j);
+    Alcotest.(check bool) "full: CPU fallbacks ran" false
+      (contains ~needle:"\"fallbacks\": 0," j);
+    let code, out =
+      run_cmd
+        "run bench:jacobi --devices 1 --device-faults \
+         device-lost:main_kernel0 --resilience retry"
+    in
+    Alcotest.(check int) "retry: exit 1" 1 code;
+    Alcotest.(check bool) "retry: ACC-FAULT-001" true
+      (contains ~needle:"ACC-FAULT-001" out)
+  end
+
+(* An update of data no data region made present fails the same way at
+   every device count: exit 1, located at the update directive. *)
+let test_update_not_present () =
+  if available then begin
+    let src = Filename.temp_file "openarc_update" ".c" in
+    let oc = open_out_bin src in
+    output_string oc
+      "int main() {\n\
+      \  float a[8];\n\
+      \  for (int i = 0; i < 8; i++) { a[i] = 1.0; }\n\
+      \  #pragma acc update device(a)\n\
+      \  return 0;\n\
+       }\n";
+    close_out oc;
+    let run devices =
+      let out = Filename.temp_file "openarc_cli" ".out" in
+      let err = Filename.temp_file "openarc_cli" ".err" in
+      let code =
+        Sys.command
+          (Fmt.str "%s run %s --devices %d > %s 2> %s" exe
+             (Filename.quote src) devices (Filename.quote out)
+             (Filename.quote err))
+      in
+      let o = read_file out and e = read_file err in
+      Sys.remove out;
+      Sys.remove err;
+      (code, o, e)
+    in
+    let c1, o1, e1 = run 1 and c2, o2, e2 = run 2 in
+    Sys.remove src;
+    Alcotest.(check int) "--devices 1: exit 1" 1 c1;
+    Alcotest.(check int) "--devices 2: exit 1" 1 c2;
+    Alcotest.(check string) "same stderr at 1 and 2 devices" e1 e2;
+    Alcotest.(check string) "same stdout at 1 and 2 devices" o1 o2;
+    Alcotest.(check bool) "names the array" true
+      (contains ~needle:"'a' is not present on the device" e1);
+    Alcotest.(check bool) "located at the update" true
+      (contains ~needle:":4:3:" e1 && contains ~needle:"update" e1)
+  end
+
 let test_diff_profile () =
   if available then begin
     let tmp () = Filename.temp_file "openarc_diff" ".json" in
@@ -662,6 +739,8 @@ let tests =
     Alcotest.test_case "fault matrix trace" `Quick test_fault_matrix_trace;
     Alcotest.test_case "lint" `Quick test_lint;
     Alcotest.test_case "device faults" `Quick test_device_faults;
+    Alcotest.test_case "one-device loss" `Quick test_one_device_loss;
+    Alcotest.test_case "update not present" `Quick test_update_not_present;
     Alcotest.test_case "diff profile" `Quick test_diff_profile;
     Alcotest.test_case "analyze" `Quick test_analyze;
     Alcotest.test_case "session" `Slow test_session;

@@ -107,11 +107,11 @@ let bench_case (b : Suite.Bench_def.t) =
       diff_variant b "unopt" b.source;
       diff_variant b "opt" b.optimized)
 
-(* A one-member device set is the pre-existing single-device runtime:
-   [~devices:1] must be observably bit-identical to not passing the
-   option at all — outputs, [ops] accounting, trace counters, the
-   simulated clock, the per-directive profile document, and the Chrome
-   trace — under both engines and both schedules. *)
+(* A one-member device set never shards, so the schedule cannot reach
+   it: [~devices:1] under either schedule must be observably
+   bit-identical to the default run — outputs, [ops] accounting, trace
+   counters, the simulated clock, the per-directive profile document,
+   and the Chrome trace — under both engines. *)
 let profile_categories =
   List.map Gpusim.Metrics.category_name Gpusim.Metrics.all_categories
 

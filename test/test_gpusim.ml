@@ -352,12 +352,28 @@ let test_device_set_members () =
   Alcotest.(check bool) "base plan latched lost" true p.Gpusim.Fault_plan.lost;
   Alcotest.(check int) "base plan sees the event" 1 (Gpusim.Fault_plan.injected p)
 
-let test_device_set_of_device () =
-  let dev = Gpusim.Device.create () in
-  let set = Gpusim.Device_set.of_device dev in
+(* A single device is the one-member set: its fault plan is partitioned
+   like any other set's, and a loss folds back into the caller's plan. *)
+let test_device_set_of_one () =
+  let p =
+    Gpusim.Fault_plan.create ~seed:5
+      [ Gpusim.Fault_plan.mk_rule Gpusim.Fault_plan.Device_lost ]
+  in
+  let set = Gpusim.Device_set.create ~seed:5 ~plan:p 1 in
   Alcotest.(check int) "one member" 1 (Gpusim.Device_set.size set);
-  Alcotest.(check bool) "wraps the same device" true
-    (Gpusim.Device_set.primary set == dev)
+  let d0 = Gpusim.Device_set.primary set in
+  (try Gpusim.Device.begin_launch d0 ~label:"k" with
+  | Gpusim.Device.Device_fault _ -> ());
+  Alcotest.(check bool) "member lost" false (Gpusim.Device.alive d0);
+  Alcotest.(check bool) "all lost" true (Gpusim.Device_set.all_lost set);
+  Alcotest.(check bool) "base plan untouched before flush" false
+    p.Gpusim.Fault_plan.lost;
+  Gpusim.Device_set.flush_events set;
+  Alcotest.(check bool) "base plan latched lost" true p.Gpusim.Fault_plan.lost;
+  Alcotest.(check int) "base plan sees the event" 1
+    (Gpusim.Fault_plan.injected p);
+  Gpusim.Device_set.flush_events set;
+  Alcotest.(check int) "flush is idempotent" 1 (Gpusim.Fault_plan.injected p)
 
 let tests =
   [ Alcotest.test_case "buf basics" `Quick test_buf_basics;
@@ -378,4 +394,4 @@ let tests =
     QCheck_alcotest.to_alcotest split_partitions;
     Alcotest.test_case "device set schedules" `Quick test_device_set_schedules;
     Alcotest.test_case "device set members" `Quick test_device_set_members;
-    Alcotest.test_case "device set of_device" `Quick test_device_set_of_device ]
+    Alcotest.test_case "device set of one" `Quick test_device_set_of_one ]
