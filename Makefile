@@ -64,8 +64,9 @@ bench: build
 
 # Parent-parity probe (not part of `check`): build PARITY_BASE from git
 # next to the working tree and byte-compare stdout, stderr, exit code and
-# written files of run/profile/memtrace/session on JACOBI/EP/CG at 1, 2
-# and 4 devices plus JACOBI fault runs under retry and full.
+# written files of verify on JACOBI/EP/CG, run/profile/memtrace/session
+# on them at 1, 2 and 4 devices, plus JACOBI fault runs under retry and
+# full.
 PARITY_BASE ?= HEAD
 
 parity:

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Parent-parity probe: build a base revision of this repository next to the
 # working tree and byte-compare stdout, stderr, exit code and every file
-# written, for a fixed list of CLI commands.
+# written, for a fixed list of CLI commands: verify (both engines, and the
+# fault build with the symbolic tier, events and trace), run, profile,
+# memtrace and session on JACOBI/EP/CG, plus JACOBI fault runs.
 #
 #   bench/parity.sh [BASE]      # BASE defaults to HEAD; or `make parity`
 #
@@ -31,6 +33,9 @@ commands() {
   for spec in jacobi:a,b,resid ep:acc1,result cg:x,xnorm,rho; do
     b=${spec%%:*}
     outs=${spec#*:}
+    echo "verify bench:$b"
+    echo "verify bench:$b --engine tree"
+    echo "verify bench:$b --fault-injection --symbolic --events events.jsonl --trace timeline.json"
     for n in 1 2 4; do
       echo "run bench:$b --devices $n"
       echo "run bench:$b --devices $n --instrument"

@@ -175,9 +175,12 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
   in
 
   (* Engine dispatch: under [Compiled], kernel bodies compile once per
-     verification run, and so does each kernel's sequential region (in
-     mirror mode, keyed by kernel id — this cache runs no other host
-     statements), so the hooked reference run is compiled end to end. *)
+     verification run, and so does each kernel's sequential region (a host
+     fragment keyed by kernel id — this cache runs no other host
+     statements), so the hooked reference run is compiled end to end.  The
+     region binds its free names once, at entry, from the environment the
+     hook sees: the reference run's visible registers, pushed as one frame
+     while the hook runs. *)
   let ecache = lazy (Accrt.Compile.create_cache prog) in
   let exec_kernel sctx k =
     match engine with

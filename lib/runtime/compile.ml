@@ -1,10 +1,10 @@
 (** Closure-compilation engine for Mini-C execution.
 
     Compiles expressions and statements into nested OCaml closures over an
-    array-backed register frame: a {!Resolve} pass assigns every declared
-    variable a register slot at compile time, so variable access is an array
-    index instead of string hashing over a frame stack, and all AST-tag
-    dispatch happens once, at compile time.
+    array-backed register frame: a {!Resolve} pass assigns every name an
+    activation touches a register slot at compile time, so variable access
+    is an array index instead of string hashing over a frame stack, and all
+    AST-tag dispatch happens once, at compile time.
 
     The engine is observably {e bit-identical} to the tree walker in
     {!Eval} / {!Kernel_exec}: every compiled node bumps [ops] exactly like
@@ -15,19 +15,25 @@
     order is identical.  The differential test suite enforces this over the
     whole benchmark suite.
 
-    Two modes:
+    One compile mode serves kernels, callees and host fragments (the
+    sequential reference's [main] body and the runtime's host statement
+    leaves).  Compiled closures never look a name up in the {!Value}
+    environment; a host fragment meets it at three boundaries only:
 
-    - {e mirror} mode (the sequential reference path): every declaration is
-      also published into the name-addressable {!Value} environment and
-      scopes push/pop real (pooled) frames, so [stmt_hook]s — which execute
-      tree-walked code against the environment by name (kernel verification,
-      coherence instrumentation) — observe exactly the state the tree walker
-      would produce.  Registers hold the {e same} cells/slots as the
-      environment, so the two views can never diverge.
-    - {e register} mode (kernel bodies): no name mirror at all — every name
-      of the kernel body is register-resolved, which is what makes compiled
-      kernels fast.  Kernels compile once and are cached by kernel id, so
-      repeated launches (JACOBI sweeps) reuse the closure. *)
+    - {e entry}: each free name of the fragment binds to the environment's
+      own cell or slot, once (a user call binds its callee's free names —
+      the globals it uses — the same way);
+    - {e end}: the fragment's root-scope declarations are published into
+      the environment's innermost frame, on normal and exceptional exit
+      alike, so later fragments, tree-walked code and callers see them;
+    - {e hook}: at a directive statement, when a [stmt_hook] is installed,
+      one frame holding the visible registers' cells and slots is pushed
+      for as long as the hook runs, so tree-walked code inside the hook
+      (kernel verification) sees exactly the tree walker's state.
+
+    Registers hold the {e same} cells/slots as the environment, so the two
+    views can never diverge.  Kernels compile once and are cached by
+    content key, so repeated launches (JACOBI sweeps) reuse the closure. *)
 
 open Minic.Ast
 open Codegen.Tprog
@@ -44,18 +50,17 @@ type st = { ctx : Eval.ctx; regs : reg array }
 type cexp = st -> scalar
 type cstm = st -> unit
 
-(** A compilation unit: one program, one mode, lazily-compiled functions. *)
-type cu = {
-  uprog : program;
-  umirror : bool;
-  ufuncs : (string, cfun option ref) Hashtbl.t;
-}
+(** A compilation unit: one program, lazily-compiled functions. *)
+type cu = { uprog : program; ufuncs : (string, cfun option ref) Hashtbl.t }
 
-and cfun = { cf_nregs : int; cf_body : cstm }
+and cfun = {
+  cf_nregs : int;
+  cf_globals : (string * int) list;  (** free names: bound from the globals *)
+  cf_body : cstm;
+}
 (** Parameters occupy registers [0 .. n-1] in declaration order. *)
 
-let unit_of ~mirror prog =
-  { uprog = prog; umirror = mirror; ufuncs = Hashtbl.create 8 }
+let unit_of prog = { uprog = prog; ufuncs = Hashtbl.create 8 }
 
 let fun_ref u f =
   match Hashtbl.find_opt u.ufuncs f with
@@ -84,6 +89,13 @@ let reg_of_binding = function
   | Scalar c -> Rscalar c
   | Array s -> Rarray s
 
+(* Declare a register's cell or slot under [name] in [env]'s innermost
+   frame (nothing when the register is unbound). *)
+let declare_reg env name = function
+  | Rscalar c -> declare env name (Scalar c)
+  | Rarray s -> declare env name (Array s)
+  | Unbound -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Expression and statement compilation.                               *)
 (* ------------------------------------------------------------------ *)
@@ -100,16 +112,11 @@ let rec cexpr u res e : cexp =
       fun st ->
         st.ctx.ops <- st.ctx.ops + 1;
         v
-  | Evar v -> (
-      match Resolve.slot_of res v with
-      | Some i ->
-          fun st ->
-            st.ctx.ops <- st.ctx.ops + 1;
-            (reg_cell st i v).v
-      | None ->
-          fun st ->
-            st.ctx.ops <- st.ctx.ops + 1;
-            get_scalar st.ctx.env v)
+  | Evar v ->
+      let i = Resolve.slot_of res v in
+      fun st ->
+        st.ctx.ops <- st.ctx.ops + 1;
+        (reg_cell st i v).v
   | Eindex (a, i) ->
       let name = view_name a in
       let cvw = cview u res a in
@@ -169,10 +176,9 @@ let rec cexpr u res e : cexp =
 (* Mirrors [Eval.eval_view]: no ops bump of its own. *)
 and cview u res e : st -> Eval.aview =
   match e with
-  | Evar v -> (
-      match Resolve.slot_of res v with
-      | Some i -> fun st -> view_of_slot v (reg_slot st i v)
-      | None -> fun st -> view_of_slot v (array_slot st.ctx.env v))
+  | Evar v ->
+      let i = Resolve.slot_of res v in
+      fun st -> view_of_slot v (reg_slot st i v)
   | Eindex (a, i) ->
       let name = view_name a in
       let cvw = cview u res a in
@@ -306,28 +312,17 @@ and cuser u res f args : cexp =
               match p.p_typ with
               | Tarr _ | Tptr _ -> (
                   match arg with
-                  | Evar v -> (
-                      match Resolve.slot_of res v with
-                      | Some i ->
-                          fun st ->
-                            let s = reg_slot st i v in
-                            ( p.p_name,
-                              Array
-                                { buf = s.buf; root = s.root; shape = s.shape }
-                            )
-                      | None ->
-                          fun st ->
-                            let s = array_slot st.ctx.env v in
-                            ( p.p_name,
-                              Array
-                                { buf = s.buf; root = s.root; shape = s.shape }
-                            ))
+                  | Evar v ->
+                      let i = Resolve.slot_of res v in
+                      fun st ->
+                        let s = reg_slot st i v in
+                        Rarray { buf = s.buf; root = s.root; shape = s.shape }
                   | _ ->
                       fun _ ->
                         error "array argument to '%s' must be a variable" f)
               | Tvoid | Tint | Tfloat ->
                   let ca = cexpr u res arg in
-                  fun st -> (p.p_name, Scalar { v = ca st }))
+                  fun st -> Rscalar { v = ca st })
             fn.f_params args
         in
         let force () =
@@ -338,56 +333,33 @@ and cuser u res f args : cexp =
               r := Some cf;
               cf
         in
-        if u.umirror then
-          fun st ->
-            st.ctx.ops <- st.ctx.ops + 1;
-            let cf = force () in
-            let bindings = List.map (fun b -> b st) binders in
-            let regs = Array.make cf.cf_nregs Unbound in
-            List.iteri
-              (fun i (_, b) -> regs.(i) <- reg_of_binding b)
-              bindings;
-            let saved = st.ctx.env.frames in
-            let frame = Hashtbl.create 8 in
-            List.iter
-              (fun (name, b) -> Hashtbl.replace frame name b)
-              bindings;
-            st.ctx.env.frames <- [ frame ];
-            let restore () = st.ctx.env.frames <- saved in
-            (try
-               cf.cf_body { ctx = st.ctx; regs };
-               restore ();
-               Int 0
-             with
-            | Return_exc r ->
-                restore ();
-                (match r with Some v -> v | None -> Int 0)
-            | e ->
-                restore ();
-                raise e)
-        else
-          fun st ->
-            st.ctx.ops <- st.ctx.ops + 1;
-            let cf = force () in
-            let bindings = List.map (fun b -> b st) binders in
-            let regs = Array.make cf.cf_nregs Unbound in
-            List.iteri
-              (fun i (_, b) -> regs.(i) <- reg_of_binding b)
-              bindings;
-            let saved = st.ctx.env.frames in
-            st.ctx.env.frames <- [];
-            let restore () = st.ctx.env.frames <- saved in
-            (try
-               cf.cf_body { ctx = st.ctx; regs };
-               restore ();
-               Int 0
-             with
-            | Return_exc r ->
-                restore ();
-                (match r with Some v -> v | None -> Int 0)
-            | e ->
-                restore ();
-                raise e)
+        (* User-call entry: the callee sees its parameters and the globals
+           only, like [Eval.call_user]'s fresh frame stack. *)
+        fun st ->
+          st.ctx.ops <- st.ctx.ops + 1;
+          let cf = force () in
+          let args = List.map (fun b -> b st) binders in
+          let regs = Array.make cf.cf_nregs Unbound in
+          List.iteri (fun i reg -> regs.(i) <- reg) args;
+          let env = st.ctx.env in
+          List.iter
+            (fun (name, i) ->
+              match Hashtbl.find_opt env.globals name with
+              | Some b -> regs.(i) <- reg_of_binding b
+              | None -> ())
+            cf.cf_globals;
+          let saved = env.frames in
+          env.frames <- [];
+          match cf.cf_body { ctx = st.ctx; regs } with
+          | () ->
+              env.frames <- saved;
+              Int 0
+          | exception Return_exc r -> (
+              env.frames <- saved;
+              match r with Some v -> v | None -> Int 0)
+          | exception e ->
+              env.frames <- saved;
+              raise e
       end
 
 and compile_fun u fn =
@@ -396,7 +368,9 @@ and compile_fun u fn =
   (* The callee body runs directly in the parameter frame (no extra
      scope), exactly like [Eval.call_user]. *)
   let body = cblock u res fn.f_body in
-  { cf_nregs = Resolve.frame_size res; cf_body = body }
+  { cf_nregs = Resolve.frame_size res;
+    cf_globals = Resolve.free res;
+    cf_body = body }
 
 and cdecl u res typ name init : cstm =
   match typ with
@@ -404,25 +378,12 @@ and cdecl u res typ name init : cstm =
       let cinit = Option.map (cexpr u res) init in
       let z = zero_of_typ typ in
       let slot = Resolve.declare res name in
-      if u.umirror then
-        fun st ->
-          let v = match cinit with Some c -> c st | None -> z in
-          let cell = { v } in
-          st.regs.(slot) <- Rscalar cell;
-          declare st.ctx.env name (Scalar cell)
-      else
-        fun st ->
-          let v = match cinit with Some c -> c st | None -> z in
-          st.regs.(slot) <- Rscalar { v }
+      fun st ->
+        let v = match cinit with Some c -> c st | None -> z in
+        st.regs.(slot) <- Rscalar { v }
   | Tarr (_, None) ->
       let slot = Resolve.declare res name in
-      if u.umirror then
-        fun st ->
-          let s = { buf = None; root = name; shape = [||] } in
-          st.regs.(slot) <- Rarray s;
-          declare st.ctx.env name (Array s)
-      else
-        fun st -> st.regs.(slot) <- Rarray { buf = None; root = name; shape = [||] }
+      fun st -> st.regs.(slot) <- Rarray { buf = None; root = name; shape = [||] }
   | Tarr _ ->
       (* Extent plan, outermost first; evaluation and the negative-extent
          check interleave exactly like [Eval.exec_decl]'s unroll. *)
@@ -433,7 +394,7 @@ and cdecl u res typ name init : cstm =
       in
       let plan = plan typ in
       let slot = Resolve.declare res name in
-      let build st =
+      fun st ->
         let rdims = ref [] in
         let isf = ref false in
         List.iter
@@ -452,77 +413,45 @@ and cdecl u res typ name init : cstm =
           if !isf then Gpusim.Buf.create_float total
           else Gpusim.Buf.create_int total
         in
-        { buf = Some buf; root = name; shape = Array.of_list dims }
-      in
-      if u.umirror then
-        fun st ->
-          let s = build st in
-          st.regs.(slot) <- Rarray s;
-          declare st.ctx.env name (Array s)
-      else fun st -> st.regs.(slot) <- Rarray (build st)
+        st.regs.(slot) <-
+          Rarray { buf = Some buf; root = name; shape = Array.of_list dims }
   | Tptr _ -> (
       match init with
       | Some (Evar src) ->
-          let csrc =
-            match Resolve.slot_of res src with
-            | Some i -> fun st -> reg_slot st i src
-            | None -> fun st -> array_slot st.ctx.env src
-          in
+          let i = Resolve.slot_of res src in
           let slot = Resolve.declare res name in
-          if u.umirror then
-            fun st ->
-              let s0 = csrc st in
-              let s = { buf = s0.buf; root = s0.root; shape = s0.shape } in
-              st.regs.(slot) <- Rarray s;
-              declare st.ctx.env name (Array s)
-          else
-            fun st ->
-              let s0 = csrc st in
-              st.regs.(slot) <-
-                Rarray { buf = s0.buf; root = s0.root; shape = s0.shape }
+          fun st ->
+            let s0 = reg_slot st i src in
+            st.regs.(slot) <-
+              Rarray { buf = s0.buf; root = s0.root; shape = s0.shape }
       | Some _ ->
           let _slot = Resolve.declare res name in
           fun _ ->
             error "pointer '%s' may only be initialized from an array" name
       | None ->
           let slot = Resolve.declare res name in
-          if u.umirror then
-            fun st ->
-              let s = { buf = None; root = name; shape = [||] } in
-              st.regs.(slot) <- Rarray s;
-              declare st.ctx.env name (Array s)
-          else
-            fun st ->
-              st.regs.(slot) <-
-                Rarray { buf = None; root = name; shape = [||] })
+          fun st ->
+            st.regs.(slot) <- Rarray { buf = None; root = name; shape = [||] })
 
 (* Pointer rebinding [p = a] when the assignment target holds an array. *)
 and crebind res v rhs : st -> Value.slot -> unit =
   match rhs with
-  | Evar src -> (
-      match Resolve.slot_of res src with
-      | Some i ->
-          fun st slot ->
-            let s = reg_slot st i src in
-            slot.buf <- s.buf;
-            slot.root <- s.root;
-            slot.shape <- s.shape
-      | None ->
-          fun st slot ->
-            let s = array_slot st.ctx.env src in
-            slot.buf <- s.buf;
-            slot.root <- s.root;
-            slot.shape <- s.shape)
+  | Evar src ->
+      let i = Resolve.slot_of res src in
+      fun st slot ->
+        let s = reg_slot st i src in
+        slot.buf <- s.buf;
+        slot.root <- s.root;
+        slot.shape <- s.shape
   | _ -> fun _ _ -> error "'%s' holds an array; assign another array to it" v
 
 (* Mirrors [Eval.assign]'s lvalue_view: composed views, no ops bumps of
    their own. *)
 and clview u res lv : st -> Eval.aview =
   match lv with
-  | Lvar name -> (
-      match Resolve.slot_of res name with
-      | Some i -> fun st -> view_of_slot name (reg_slot st i name)
-      | None -> fun st -> view_of_slot name (array_slot st.ctx.env name))
+  | Lvar name ->
+      let i = Resolve.slot_of res name in
+      fun st -> view_of_slot name (reg_slot st i name)
   | Lindex (b, i) ->
       let root = lvalue_root b in
       let cb = clview u res b in
@@ -533,21 +462,15 @@ and clview u res lv : st -> Eval.aview =
 
 and cassign u res lv rhs : cstm =
   match lv with
-  | Lvar v -> (
+  | Lvar v ->
       let crhs = cexpr u res rhs in
       let rebind = crebind res v rhs in
-      match Resolve.slot_of res v with
-      | Some i ->
-          fun st -> (
-            match st.regs.(i) with
-            | Rscalar cell -> cell.v <- crhs st
-            | Rarray slot -> rebind st slot
-            | Unbound -> error "unbound variable '%s'" v)
-      | None ->
-          fun st -> (
-            match lookup_exn st.ctx.env v with
-            | Scalar cell -> cell.v <- crhs st
-            | Array slot -> rebind st slot))
+      let i = Resolve.slot_of res v in
+      fun st -> (
+        match st.regs.(i) with
+        | Rscalar cell -> cell.v <- crhs st
+        | Rarray slot -> rebind st slot
+        | Unbound -> error "unbound variable '%s'" v)
   | Lindex (base, idx) ->
       let crhs = cexpr u res rhs in
       let root = lvalue_root base in
@@ -569,10 +492,7 @@ and cstmt u res s : cstm =
   let body = cskind u res s in
   fun st ->
     st.ctx.ops <- st.ctx.ops + 1;
-    let handled =
-      match st.ctx.stmt_hook with Some h -> h st.ctx s | None -> false
-    in
-    if not handled then body st
+    body st
 
 and cskind u res s : cstm =
   match s.skind with
@@ -602,7 +522,7 @@ and cskind u res s : cstm =
           let ccond = Option.map (cexpr u res) cond in
           let cstep = Option.map (cstmt u res) step in
           let cb = cscope u res b in
-          let run st =
+          fun st ->
             (match cinit with Some c -> c st | None -> ());
             let continue_ () =
               match ccond with Some c -> truthy (c st) | None -> true
@@ -612,29 +532,37 @@ and cskind u res s : cstm =
                 (try cb st with Continue_exc -> ());
                 match cstep with Some c -> c st | None -> ()
               done
-            with Break_exc -> ()
-          in
-          if u.umirror then fun st -> Value.scoped st.ctx.env (fun () -> run st)
-          else run)
+            with Break_exc -> ())
   | Sblock b -> cscope u res b
   | Sreturn e ->
       let c = Option.map (cexpr u res) e in
       fun st -> raise (Return_exc (Option.map (fun c -> c st) c))
   | Sbreak -> fun _ -> raise Break_exc
   | Scontinue -> fun _ -> raise Continue_exc
-  | Sacc (_, body) -> (
-      (* Directives are transparent to sequential execution. *)
-      match body with
-      | Some b ->
-          let cb = cstmt u res b in
-          fun st -> cb st
-      | None -> fun _ -> ())
+  | Sacc (_, body) ->
+      (* Directives are transparent to sequential execution unless the
+         statement hook handles them.  The hook runs tree-walked code
+         against the environment by name, so it sees the visible
+         registers through one pushed frame (the hook boundary). *)
+      let visible = Resolve.visible res in
+      let cb =
+        match body with Some b -> cstmt u res b | None -> fun _ -> ()
+      in
+      fun st -> (
+        match st.ctx.stmt_hook with
+        | None -> cb st
+        | Some h ->
+            let env = st.ctx.env in
+            let handled =
+              Value.scoped env (fun () ->
+                  List.iter
+                    (fun (name, i) -> declare_reg env name st.regs.(i))
+                    visible;
+                  h st.ctx s)
+            in
+            if not handled then cb st)
 
-and cscope u res b : cstm =
-  Resolve.scoped res (fun () ->
-      let cb = cblock u res b in
-      if u.umirror then fun st -> Value.scoped st.ctx.env (fun () -> cb st)
-      else cb)
+and cscope u res b : cstm = Resolve.scoped res (fun () -> cblock u res b)
 
 and cblock u res b : cstm =
   let cs = List.map (cstmt u res) b in
@@ -644,23 +572,60 @@ and cblock u res b : cstm =
   | cs -> fun st -> List.iter (fun c -> c st) cs
 
 (* ------------------------------------------------------------------ *)
-(* Sequential reference execution (mirror mode).                       *)
+(* Host fragments: the entry and end boundaries.                       *)
 (* ------------------------------------------------------------------ *)
 
+(** A host fragment compiled on its own: the [main] body, or one host
+    statement. *)
+type fragment = {
+  fr_nregs : int;
+  fr_free : (string * int) list;  (** bound from the environment at entry *)
+  fr_decls : (string * int) list;  (** root scope, published at the end *)
+  fr_body : cstm;
+}
+
+let fragment compile =
+  let res = Resolve.create () in
+  let body = compile res in
+  { fr_nregs = Resolve.frame_size res;
+    fr_free = Resolve.free res;
+    fr_decls = Resolve.root_decls res;
+    fr_body = body }
+
+(* Run [f] against [ctx]'s environment.  Its root-scope declarations are
+   published in order whether it ends normally or by an exception (an
+   early [return], a [break] out of a host leaf, a runtime error), just
+   as the tree walker would have declared them one by one. *)
+let run_fragment f (ctx : Eval.ctx) =
+  let env = ctx.env in
+  let regs = Array.make f.fr_nregs Unbound in
+  List.iter
+    (fun (name, i) ->
+      match Value.lookup env name with
+      | Some b -> regs.(i) <- reg_of_binding b
+      | None -> ())
+    f.fr_free;
+  let publish () =
+    List.iter (fun (name, i) -> declare_reg env name regs.(i)) f.fr_decls
+  in
+  match f.fr_body { ctx; regs } with
+  | () -> publish ()
+  | exception e ->
+      publish ();
+      raise e
+
 (** Compiled counterpart of {!Eval.run_reference}: same environment setup
-    (globals initialized by the tree walker — a one-time cold path), main
-    body compiled in mirror mode, declarations landing in the initial
-    frame exactly like the tree walker (no extra scope). *)
+    (globals initialized by the tree walker — a one-time cold path), and
+    [main]'s top-level declarations land in the initial frame exactly like
+    the tree walker's (no extra scope), early [return] included. *)
 let run_reference ?hook prog =
   let env = Value.create () in
   let ctx = Eval.make ~hook prog env in
   Eval.init_globals ctx;
-  let u = unit_of ~mirror:true prog in
-  let res = Resolve.create () in
+  let u = unit_of prog in
   let main = Minic.Ast.main_function prog in
-  let cb = cblock u res main.f_body in
-  let st = { ctx; regs = Array.make (max 1 (Resolve.frame_size res)) Unbound } in
-  (try cb st with Return_exc _ -> ());
+  let f = fragment (fun res -> cblock u res main.f_body) in
+  (try run_fragment f ctx with Return_exc _ -> ());
   ctx
 
 (** Engine-dispatching reference runner (compiled by default; the tree
@@ -671,7 +636,7 @@ let reference ?(engine = Engine.Compiled) ?hook prog =
   | Engine.Compiled -> run_reference ?hook prog
 
 (* ------------------------------------------------------------------ *)
-(* Kernel compilation (register mode).                                 *)
+(* Kernel compilation.                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (** Loop header of a compiled kernel.  In the parallel mode the driver
@@ -834,24 +799,19 @@ let kernel_key prog (k : kernel) =
     shared) content-keyed {!store}, and repeated launches reuse the
     closure.  [ckeys] memoizes each kernel's content key per kernel id so
     the per-launch lookup stays O(1).  Host statement leaves compile once
-    in mirror mode (keyed by translated-statement id, which is only
-    meaningful within one translation — so [chost] is never shared), so
-    names they declare stay visible — with the same cells — to the
-    interpreter's environment and to every other compiled or tree-walked
-    fragment. *)
+    into fragments keyed by translated-statement id, which is only
+    meaningful within one translation — so [chost] is never shared. *)
 type cache = {
-  cunit : cu;  (** register mode, for kernel bodies *)
+  cunit : cu;
   ckernels : store;  (** content-keyed; may be shared across programs *)
   ckeys : (int, string) Hashtbl.t;  (** k_id -> content key memo *)
-  cmunit : cu;  (** mirror mode, for host statements *)
-  chost : (int, int * cstm) Hashtbl.t;  (** tid -> (nregs, closure) *)
+  chost : (int, fragment) Hashtbl.t;  (** tid -> host fragment *)
 }
 
 let create_cache ?store prog =
-  { cunit = unit_of ~mirror:false prog;
+  { cunit = unit_of prog;
     ckernels = (match store with Some s -> s | None -> create_store ());
     ckeys = Hashtbl.create 8;
-    cmunit = unit_of ~mirror:true prog;
     chost = Hashtbl.create 32 }
 
 let key_of cache (k : kernel) =
@@ -864,22 +824,21 @@ let key_of cache (k : kernel) =
 
 (** Execute one host statement leaf through the compiled engine, compiled
     once per key [tid] (the translated-statement id in the runtime; kernel
-    verification keys each kernel's sequential region by kernel id).  Free
-    names fall back to environment lookups, so fragments compiled in
-    isolation still see declarations made by earlier fragments (exactly
-    the tree walker's scoping). *)
+    verification keys each kernel's sequential region by kernel id).  Its
+    free names bind to the environment at entry and a declaration it makes
+    is published at the end, so fragments compiled in isolation see each
+    other's declarations (exactly the tree walker's scoping). *)
 let host_stmt cache (ctx : Eval.ctx) tid s =
-  let nregs, c =
+  let f =
     match Hashtbl.find_opt cache.chost tid with
-    | Some entry -> entry
+    | Some f -> f
     | None ->
-        let res = Resolve.create () in
-        let c = cstmt cache.cmunit res s in
-        let entry = (max 1 (Resolve.frame_size res), c) in
-        Hashtbl.replace cache.chost tid entry;
-        entry
+        let u = cache.cunit in
+        let f = fragment (fun res -> cstmt u res s) in
+        Hashtbl.replace cache.chost tid f;
+        f
   in
-  c { ctx; regs = Array.make nregs Unbound }
+  run_fragment f ctx
 
 let cached cache (k : kernel) = Hashtbl.mem cache.ckernels (key_of cache k)
 
@@ -1086,7 +1045,7 @@ let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
   { Kernel_exec.iterations = !iterations; ops = st.ctx.ops }
 
 (** Compiled counterpart of {!Kernel_exec.run_shard}: runs the cached
-    register-mode kernel over the session's entry values, stepping the
+    compiled kernel over the session's entry values, stepping the
     full loop driver but executing only the ordinals [owns] selects, and
     stages each thread's results through the session's shared
     {!Kernel_exec.stage}/{!Kernel_exec.publish}, so commits and the

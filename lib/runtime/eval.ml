@@ -15,7 +15,8 @@ type ctx = {
   prog : program;  (** for user-function calls *)
   mutable ops : int;
   mutable stmt_hook : (ctx -> stmt -> bool) option;
-      (** returns [true] when it fully handled the statement *)
+      (** consulted on directive ([Sacc]) statements only, after their ops
+          bump; returns [true] when it fully handled the statement *)
   mutable call_hook : (string -> scalar list -> scalar option) option;
       (** serves [acc_*] runtime-library calls when a device is attached *)
 }
@@ -345,42 +346,42 @@ and assign ctx lv rhs =
 
 and exec ctx s =
   ctx.ops <- ctx.ops + 1;
-  let handled =
-    match ctx.stmt_hook with Some h -> h ctx s | None -> false
-  in
-  if not handled then
-    match s.skind with
-    | Sskip -> ()
-    | Sexpr e -> ignore (eval ctx e)
-    | Sassign (lv, e) -> assign ctx lv e
-    | Sdecl (typ, name, init) -> exec_decl ctx typ name init
-    | Sif (c, b1, b2) ->
-        if truthy (eval ctx c) then exec_scope ctx b1 else exec_scope ctx b2
-    | Swhile (c, b) -> (
-        try
-          while truthy (eval ctx c) do
-            try exec_scope ctx b with Continue_exc -> ()
-          done
-        with Break_exc -> ())
-    | Sfor (init, cond, step, b) ->
-        scoped ctx.env (fun () ->
-            Option.iter (exec ctx) init;
-            let continue_ () =
-              match cond with Some c -> truthy (eval ctx c) | None -> true
-            in
-            try
-              while continue_ () do
-                (try exec_scope ctx b with Continue_exc -> ());
-                Option.iter (exec ctx) step
-              done
-            with Break_exc -> ())
-    | Sblock b -> exec_scope ctx b
-    | Sreturn e -> raise (Return_exc (Option.map (eval ctx) e))
-    | Sbreak -> raise Break_exc
-    | Scontinue -> raise Continue_exc
-    | Sacc (_, body) ->
-        (* Directives are transparent to sequential execution. *)
-        Option.iter (exec ctx) body
+  match s.skind with
+  | Sskip -> ()
+  | Sexpr e -> ignore (eval ctx e)
+  | Sassign (lv, e) -> assign ctx lv e
+  | Sdecl (typ, name, init) -> exec_decl ctx typ name init
+  | Sif (c, b1, b2) ->
+      if truthy (eval ctx c) then exec_scope ctx b1 else exec_scope ctx b2
+  | Swhile (c, b) -> (
+      try
+        while truthy (eval ctx c) do
+          try exec_scope ctx b with Continue_exc -> ()
+        done
+      with Break_exc -> ())
+  | Sfor (init, cond, step, b) ->
+      scoped ctx.env (fun () ->
+          Option.iter (exec ctx) init;
+          let continue_ () =
+            match cond with Some c -> truthy (eval ctx c) | None -> true
+          in
+          try
+            while continue_ () do
+              (try exec_scope ctx b with Continue_exc -> ());
+              Option.iter (exec ctx) step
+            done
+          with Break_exc -> ())
+  | Sblock b -> exec_scope ctx b
+  | Sreturn e -> raise (Return_exc (Option.map (eval ctx) e))
+  | Sbreak -> raise Break_exc
+  | Scontinue -> raise Continue_exc
+  | Sacc (_, body) ->
+      (* Directives are transparent to sequential execution unless the
+         statement hook handles them. *)
+      let handled =
+        match ctx.stmt_hook with Some h -> h ctx s | None -> false
+      in
+      if not handled then Option.iter (exec ctx) body
 
 and exec_scope ctx b = scoped ctx.env (fun () -> exec_block ctx b)
 

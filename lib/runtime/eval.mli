@@ -12,8 +12,11 @@ type ctx = {
   prog : Minic.Ast.program;  (** for user-function calls *)
   mutable ops : int;
   mutable stmt_hook : (ctx -> Minic.Ast.stmt -> bool) option;
-      (** returns [true] when it fully handled the statement (kernel
-          verification intercepts compute regions this way) *)
+      (** Consulted on directive ([Sacc]) statements only — by both
+          engines, after the statement's ops bump — and never on any other
+          statement.  Returns [true] when it fully handled the statement
+          (kernel verification intercepts compute regions this way);
+          otherwise the directive's body runs as usual. *)
   mutable call_hook :
     (string -> Value.scalar list -> Value.scalar option) option;
 }

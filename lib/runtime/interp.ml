@@ -193,8 +193,10 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
      [Compile.run_shard]; re-executed launches and re-executed or
      failed-over shards take the run's engine too.  [compiled] accounts
      one compile or cache hit per such execution.  Host statement leaves
-     compile in mirror mode (cached by translated-statement id), keeping
-     the environment name-addressable for everything around them.  The
+     compile once into fragments (cached by translated-statement id) that
+     bind their free names from the environment at entry and publish
+     their top-level declarations into it at the end, keeping the
+     environment name-addressable for everything around them.  The
      recovery checks (CPU fallback, recovery validation) stay on the tree
      walker under either engine: they deliberately re-execute through the
      independent engine. *)

@@ -63,7 +63,7 @@ let stats_tuple (s : Accrt.Resilience.stats) =
 let diff_variant (b : Suite.Bench_def.t) variant src =
   let what = Fmt.str "%s/%s" b.name variant in
   let prog = Parser.parse_string ~file:b.name src in
-  (* 1. Sequential reference: tree walker vs compiled mirror engine. *)
+  (* 1. Sequential reference: tree walker vs compiled engine. *)
   let rt = Accrt.Eval.run_reference prog in
   let rc = Accrt.Compile.reference ~engine:compiled prog in
   Alcotest.(check int)
@@ -455,6 +455,147 @@ let test_failover_diff () =
         [ 1; 3 ])
     [ "JACOBI"; "EP" ]
 
+(* Host-fragment boundaries.  The compiled engine meets the name-addressed
+   environment only where a host fragment binds its free names (entry),
+   publishes its root-scope declarations (end), lets a statement hook run
+   (hook), and where a user call binds its callee's globals.  One program
+   per boundary, compared on the sequential reference, on kernel
+   verification and on the instrumented interpreter. *)
+
+let boundary_programs =
+  [ ( "hook frame",
+      (* The region reads [s], declared in an enclosing [for] body of
+         [main], and the array [a] through the pointer [p]: the
+         verification hook sees both only through the hook frame. *)
+      "int main() { int n = 16; float a[n]; float b[n]; float *p = a;
+      \   for (int i = 0; i < n; i++) { a[i] = float(i); b[i] = 0.0; }
+      \   for (int t = 0; t < 3; t++) {
+      \     float s = float(t) + 0.5;
+      \     #pragma acc parallel loop copyin(a) copy(b)
+      \     for (int i = 0; i < n; i++) { b[i] = b[i] + p[i] * s; }
+      \   }
+      \   return 0; }" );
+    ( "pointer rebound in a host leaf",
+      (* [p = b] runs in one host leaf; a later leaf and
+         [Interp.host_array] read [b] through [p]. *)
+      "int main() { int n = 8; float a[n]; float b[n]; float *p = a;
+      \   for (int i = 0; i < n; i++) { a[i] = 1.0; b[i] = 5.0; }
+      \   #pragma acc parallel loop copy(a)
+      \   for (int i = 0; i < n; i++) { a[i] = a[i] + 1.0; }
+      \   p = b;
+      \   float x = p[2] + 1.0;
+      \   return 0; }" );
+    ( "callee writes a global",
+      "float total = 0.0;
+       int count;
+       void add(float v) { total = total + v; count = count + 1; }
+       int main() { int n = 8; float a[n];
+      \   for (int i = 0; i < n; i++) { a[i] = float(i); }
+      \   #pragma acc parallel loop copy(a)
+      \   for (int i = 0; i < n; i++) { a[i] = a[i] * 2.0; }
+      \   for (int i = 0; i < n; i++) { add(a[i]); }
+      \   return 0; }" );
+    ( "early return",
+      (* [main]'s top-level names must reach the caller although [main]
+         leaves by [return] before its end. *)
+      "int main() { int n = 8; float a[n];
+      \   for (int i = 0; i < n; i++) { a[i] = float(i); }
+      \   #pragma acc parallel loop copy(a)
+      \   for (int i = 0; i < n; i++) { a[i] = a[i] + 3.0; }
+      \   float r = a[3];
+      \   if (r > 0.0) { return 1; }
+      \   float never = 1.0;
+      \   return 0; }" ) ]
+
+let reference_names (ctx : Accrt.Eval.ctx) = host_names ctx.Accrt.Eval.env
+
+let diff_boundary (what, src) =
+  let prog = Parser.parse_string ~file:what src in
+  (* Sequential reference. *)
+  let rt = Accrt.Compile.reference ~engine:tree prog in
+  let rc = Accrt.Compile.reference ~engine:compiled prog in
+  Alcotest.(check int) (what ^ ": reference ops identical")
+    rt.Accrt.Eval.ops rc.Accrt.Eval.ops;
+  Alcotest.(check (list string)) (what ^ ": reference names identical")
+    (reference_names rt) (reference_names rc);
+  check_outputs (what ^ " reference") rt.Accrt.Eval.env rc.Accrt.Eval.env
+    (reference_names rt);
+  (* Kernel verification: the hooked reference run. *)
+  let verify engine = Openarc_core.Kernel_verify.verify ~engine prog in
+  let vt = verify tree and vc = verify compiled in
+  let strip (r : Openarc_core.Kernel_verify.kernel_report) =
+    ( r.Openarc_core.Kernel_verify.kr_kernel.Codegen.Tprog.k_name,
+      r.kr_occurrences, r.kr_mismatches, r.kr_assertion_failures )
+  in
+  Alcotest.(check bool) (what ^ ": verification reports identical") true
+    (List.map strip vt.Openarc_core.Kernel_verify.reports
+    = List.map strip vc.Openarc_core.Kernel_verify.reports);
+  Alcotest.(check int) (what ^ ": verification sequential ops identical")
+    vt.Openarc_core.Kernel_verify.sequential_ops
+    vc.Openarc_core.Kernel_verify.sequential_ops;
+  let totals (v : Openarc_core.Kernel_verify.t) =
+    let m = v.Openarc_core.Kernel_verify.metrics in
+    ( List.map
+        (fun c -> Int64.bits_of_float (Gpusim.Metrics.time_of m c))
+        Gpusim.Metrics.all_categories,
+      Gpusim.Metrics.total_bytes m )
+  in
+  Alcotest.(check bool) (what ^ ": verification metrics identical") true
+    (totals vt = totals vc);
+  (* Instrumented interpreter: host leaves run as separate fragments. *)
+  let tenv = Typecheck.check prog in
+  let ti = Codegen.Checkgen.instrument (Codegen.Translate.translate tenv prog) in
+  let run engine = Accrt.Interp.run ~coherence:true ~engine ~seed:42 ti in
+  let ot = run tree and oc = run compiled in
+  let et = ot.Accrt.Interp.ctx.Accrt.Eval.env in
+  let ec = oc.Accrt.Interp.ctx.Accrt.Eval.env in
+  Alcotest.(check (list string)) (what ^ ": interpreter names identical")
+    (host_names et) (host_names ec);
+  check_outputs (what ^ " interpreter") et ec (host_names et);
+  Alcotest.(check int) (what ^ ": interpreter ops identical")
+    ot.Accrt.Interp.ctx.Accrt.Eval.ops oc.Accrt.Interp.ctx.Accrt.Eval.ops;
+  Alcotest.(check bool) (what ^ ": coherence reports identical") true
+    (Accrt.Interp.reports ot = Accrt.Interp.reports oc);
+  (* A pointer reaches its current target by name after the run. *)
+  if List.mem "p" (host_names et) then
+    Alcotest.(check bool) (what ^ ": host_array through the pointer") true
+      (Gpusim.Buf.equal (Accrt.Interp.host_array ot "p")
+         (Accrt.Interp.host_array oc "p"))
+
+(* Name errors the front end would reject still reach the reference run
+   of an unchecked program; both engines must fail with byte-equal
+   messages, and a bad name on a path never taken must not fail. *)
+let name_error_programs =
+  [ "int main() { int x = 1; y = x + 2; return 0; }";
+    "int main() { int x = zz + 1; return 0; }";
+    "int main() { float a[4]; int x = a + 1; return 0; }";
+    "int main() { int s = 0; s[1] = 2; return 0; }";
+    "int main() { int s = 0; float *q = s; return 0; }";
+    "float g[4];
+int f() { return g + 1; }
+int main() { return f(); }";
+    "int h;
+void f() { h[0] = 1; }
+int main() { f(); return 0; }";
+    "void f() { w = 1; }
+int main() { f(); return 0; }";
+    "int main() { int x = 0; if (x > 0) { x = zz; } float a[2];
+    \  if (x > 0) { x = a; } return x; }" ]
+
+let test_name_errors () =
+  List.iter
+    (fun src ->
+      let prog = Parser.parse_string ~file:"names" src in
+      let outcome engine =
+        match Accrt.Compile.reference ~engine prog with
+        | ctx -> Ok ctx.Accrt.Eval.ops
+        | exception Accrt.Value.Runtime_error m -> Error m
+      in
+      Alcotest.(check (result int string))
+        (Fmt.str "%S: same outcome" src)
+        (outcome tree) (outcome compiled))
+    name_error_programs
+
 let tests =
   List.map bench_case Suite.Registry.all
   @ List.map devices1_case Suite.Registry.all
@@ -464,3 +605,9 @@ let tests =
   @ [ Alcotest.test_case "verification verdicts" `Quick test_verify_diff;
       Alcotest.test_case "fault matrix" `Quick test_fault_diff;
       Alcotest.test_case "4-device failover" `Quick test_failover_diff ]
+  @ List.map
+      (fun ((what, _) as p) ->
+        Alcotest.test_case ("boundary: " ^ what) `Quick (fun () ->
+            diff_boundary p))
+      boundary_programs
+  @ [ Alcotest.test_case "boundary: name errors" `Quick test_name_errors ]
